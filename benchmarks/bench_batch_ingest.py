@@ -7,8 +7,9 @@ remaining cost is Python per-block machinery by comparing
 * the sequential encoder (``Entangler.entangle`` per 4 KiB block) against the
   vectorised ``BatchEntangler.entangle_batch``, across block sizes and
   AE(alpha, s, p) settings, and
-* the per-block store path (``EntangledStorageSystem.put``) against the
-  batched zero-copy pipeline (``put_stream``) end to end.
+* the per-block store path (one ``Entangler.entangle`` and one cluster
+  ``put_block`` per block) against the batched zero-copy pipeline
+  (``StorageService.put_stream``) end to end.
 
 Run with::
 
@@ -27,9 +28,12 @@ import numpy as np
 import pytest
 
 from perf_record import record_entry
+from repro.codes.entanglement import EntanglementScheme
 from repro.core.encoder import BatchEntangler, Entangler
 from repro.core.parameters import AEParameters
-from repro.system.entangled_store import EntangledStorageSystem
+from repro.storage.cluster import StorageCluster
+from repro.storage.placement import RandomPlacement
+from repro.system.service import StorageService
 
 SPECS = ["AE(1,-,-)", "AE(2,2,5)", "AE(3,2,5)"]
 BLOCK_SIZES = [1024, 4096, 16384]
@@ -39,6 +43,15 @@ BATCH_BLOCKS = 1024
 def data_matrix(blocks: int, block_size: int) -> np.ndarray:
     rng = np.random.default_rng(0)
     return rng.integers(0, 256, size=(blocks, block_size), dtype=np.uint8)
+
+
+def fresh_cluster(locations: int = 50) -> StorageCluster:
+    return StorageCluster(locations, RandomPlacement(locations, seed=0))
+
+
+def ae_service(params: AEParameters, block_size: int = 4096) -> StorageService:
+    """An AE storage service over a fresh 50-location cluster."""
+    return StorageService(EntanglementScheme(params, block_size), fresh_cluster())
 
 
 def best_of(fn, repeat: int = 5) -> float:
@@ -88,8 +101,7 @@ def test_store_path_put(benchmark, spec):
     payload = data_matrix(512, 4096).tobytes()
 
     def ingest():
-        system = EntangledStorageSystem(params, location_count=50, block_size=4096)
-        return system.put("doc", payload).block_count
+        return ae_service(params).put("doc", payload).block_count
 
     assert benchmark(ingest) == 512
 
@@ -100,8 +112,7 @@ def test_store_path_put_stream(benchmark, spec):
     payload = data_matrix(512, 4096).tobytes()
 
     def ingest():
-        system = EntangledStorageSystem(params, location_count=50, block_size=4096)
-        return system.put_stream("doc", [payload]).block_count
+        return ae_service(params).put_stream("doc", [payload]).block_count
 
     assert benchmark(ingest) == 512
 
@@ -160,28 +171,29 @@ def test_end_to_end_stream_speedup(print_tables):
 
     Since the scheme-agnostic refactor both ``put`` and ``put_stream`` ride
     the vectorised ``entangle_batch`` + bulk ``put_many`` path, so the
-    per-block baseline is ``append_block`` (one ``entangle`` + per-block
-    cluster write per call), the pre-batching write path.
+    per-block baseline is a loop of one ``entangle`` + one cluster
+    ``put_block`` per block, the pre-batching write path.
     """
     params = AEParameters.triple(2, 5)
     blocks = data_matrix(2048, 4096)
     payload = blocks.tobytes()
 
     def run_per_block():
-        system = EntangledStorageSystem(params, location_count=50, block_size=4096)
+        encoder = Entangler(params, 4096)
+        cluster = fresh_cluster()
         for row in blocks:
-            system.append_block(row)
+            for block in encoder.entangle(row).all_blocks():
+                cluster.put_block(block)
 
     def run_stream():
-        system = EntangledStorageSystem(params, location_count=50, block_size=4096)
-        system.put_stream("doc", [payload])
+        ae_service(params).put_stream("doc", [payload])
 
     t_block = best_of(run_per_block, repeat=3)
     t_stream = best_of(run_stream, repeat=3)
     if print_tables:
         mb = len(payload) / 1e6
         print(
-            f"\nstore path @ 4 KiB: append_block {mb / t_block:6.1f} MB/s, "
+            f"\nstore path @ 4 KiB: per-block {mb / t_block:6.1f} MB/s, "
             f"put_stream {mb / t_stream:6.1f} MB/s, speedup {t_block / t_stream:.1f}x"
         )
     # Loose bound: wall-clock ratios on shared machines are noisy; the hard

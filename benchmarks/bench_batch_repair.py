@@ -1,17 +1,20 @@
 """Batched vs. per-block repair throughput, with a recorded perf trajectory.
 
-The repair counterpart of ``bench_batch_ingest``: after a disaster the
-cluster repair manager can either rebuild blocks one decoder call at a time
-(``repair(batched=False)``, the historical loop) or plan each round, bulk-read
-the surviving inputs and reconstruct every target of the round in one matrix
-XOR pass (the default).  Both paths must produce bit-identical payloads; the
-batched one must be at least 3x faster at 4 KiB blocks.
+The repair counterpart of ``bench_batch_ingest``: after a disaster a cluster
+can either rebuild blocks one decoder call at a time (the per-block loop
+``repair_sequential``, kept in ``tests/repair_oracles.py`` as the reference)
+or go through ``EntanglementScheme.repair`` -- plan each round, bulk-read the
+surviving inputs, reconstruct every target of the round in one matrix XOR
+pass -- and write the rebuilt blocks back with one ``relocate_many``.  Both
+paths must produce bit-identical payloads; the batched one must be at least
+3x faster at 4 KiB blocks.
 
 Measured numbers are recorded into ``BENCH_repair.json`` through
 :mod:`perf_record`; CI gates fresh snapshots against the committed baseline
 (see ``docs/benchmarks.md``).
 
-Run with::
+Run from the repository root (the reference loop is imported from
+``tests``) with::
 
     PYTHONPATH=src python -m pytest benchmarks/bench_batch_repair.py -q -s
 
@@ -26,14 +29,14 @@ import time
 import numpy as np
 
 from perf_record import record_entry
-from repro.core.encoder import Entangler
+from repro.codes.entanglement import EntanglementScheme
 from repro.core.parameters import AEParameters
 from repro.core.xor import payloads_equal
 from repro.storage.cluster import StorageCluster
 from repro.storage.failures import disaster_for_target
 from repro.storage.placement import RandomPlacement
-from repro.storage.repair import ClusterRepairManager
 from repro.system.service import StorageConfig, StorageService
+from tests.repair_oracles import repair_sequential
 
 BLOCK_SIZE = 4096
 SEED = 7
@@ -49,34 +52,48 @@ FAILED_LOCATIONS = 32
 
 def _entangled_cluster():
     """AE(3,2,5) lattice stored on a fresh cluster; returns the pieces."""
-    params = AEParameters.triple(2, 5)
-    encoder = Entangler(params, block_size=BLOCK_SIZE)
+    scheme = EntanglementScheme(AEParameters.triple(2, 5), block_size=BLOCK_SIZE)
     cluster = StorageCluster(LOCATIONS, RandomPlacement(LOCATIONS, seed=SEED))
     rng = np.random.default_rng(SEED)
     data = rng.integers(0, 256, size=(DATA_BLOCKS, BLOCK_SIZE), dtype=np.uint8)
     originals = {}
     for row in data:
-        encoded = encoder.entangle(row)
+        encoded = scheme.entangler.entangle(row)
         for block in encoded.all_blocks():
             originals[block.block_id] = block.payload
             cluster.put_block(block)
-    return encoder, cluster, originals
+    return scheme, cluster, originals
+
+
+def _batched_repair(scheme: EntanglementScheme, cluster: StorageCluster):
+    """``scheme.repair`` over the cluster, then one grouped relocation."""
+    outcome = scheme.repair(cluster.unavailable_blocks(), cluster.block_source())
+    cluster.relocate_many(
+        outcome.recovered.items(), avoid=tuple(cluster.unavailable_locations())
+    )
+    return outcome.repaired_count, outcome.unrecovered
+
+
+def _sequential_repair(scheme: EntanglementScheme, cluster: StorageCluster):
+    """The per-block reference loop."""
+    report = repair_sequential(scheme.lattice, cluster, BLOCK_SIZE)
+    return report.repaired_count, report.unrecovered
 
 
 def _timed_repair(batched: bool):
     """Best-of-N wall time of one full repair run (fresh disaster each time)."""
+    repair = _batched_repair if batched else _sequential_repair
     best = float("inf")
     repaired_bytes = 0
     for _ in range(REPEAT):
-        encoder, cluster, originals = _entangled_cluster()
+        scheme, cluster, originals = _entangled_cluster()
         cluster.fail_locations(range(FAILED_LOCATIONS))
-        manager = ClusterRepairManager(encoder.lattice, cluster, BLOCK_SIZE)
-        missing = manager.missing_blocks()
+        missing = cluster.unavailable_blocks()
         started = time.perf_counter()
-        report = manager.repair(batched=batched)
+        repaired_count, unrecovered = repair(scheme, cluster)
         best = min(best, time.perf_counter() - started)
-        assert report.data_loss == 0 and not report.unrecovered
-        repaired_bytes = report.repaired_count * BLOCK_SIZE
+        assert not unrecovered
+        repaired_bytes = repaired_count * BLOCK_SIZE
         for block_id in missing:
             assert payloads_equal(cluster.get_block(block_id), originals[block_id])
     return best, repaired_bytes

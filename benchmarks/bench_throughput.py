@@ -13,9 +13,9 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.codes.entanglement import EntanglementScheme
 from repro.codes.reed_solomon import ReedSolomonCode
 from repro.core.blocks import DataId
-from repro.core.decoder import Decoder
 from repro.core.encoder import Entangler
 from repro.core.parameters import AEParameters
 
@@ -63,18 +63,12 @@ def test_rs_encoding_throughput(benchmark, setting):
 
 
 def test_ae_single_failure_repair_throughput(benchmark):
-    params = AEParameters.triple(2, 5)
-    encoder = Entangler(params, block_size=BLOCK_SIZE)
-    store = {}
-    for payload in _payloads(BLOCKS_PER_RUN):
-        encoded = encoder.entangle(payload)
-        for block in encoded.all_blocks():
-            store[block.block_id] = block.payload
+    scheme = EntanglementScheme(AEParameters.triple(2, 5), block_size=BLOCK_SIZE)
+    store = dict(scheme.encode(_payloads(BLOCKS_PER_RUN)).blocks)
     victim = DataId(BLOCKS_PER_RUN // 2)
     original = store.pop(victim)
-    decoder = Decoder(encoder.lattice, store.get, BLOCK_SIZE)
 
-    repaired = benchmark(decoder.repair, victim)
+    repaired = benchmark(scheme.read_block, victim, store.get)
     assert np.array_equal(repaired, original)
 
 

@@ -57,7 +57,8 @@ def main() -> None:
 
     # What would a *careful* attacker have to do to go unnoticed?  Rewrite
     # every parity from the block's position to the end of its alpha strands.
-    cost = tamper_cost(archive.system.lattice, victim.index)
+    scheme = archive.system.scheme
+    cost = tamper_cost(scheme.lattice, victim.index)
     print(f"to stay hidden    : rewrite {cost.total_parities} parities "
           f"across {params.alpha} strands ({cost.summary()})")
 
@@ -65,9 +66,7 @@ def main() -> None:
     # 3. Scrub: equation checks pinpoint the tampered block.
     # ------------------------------------------------------------------
     # First without the manifest -- pure entanglement-equation forensics.
-    plain_scrubber = Scrubber(
-        archive.system.lattice, cluster, archive.system.block_size, manifest=None
-    )
+    plain_scrubber = Scrubber(scheme, cluster, manifest=None)
     report = plain_scrubber.scrub()
     print(f"\nscrub (no manifest): {report.summary()}")
     print(f"suspects           : {report.suspects}")

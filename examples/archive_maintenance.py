@@ -26,7 +26,6 @@ from repro.analysis.markov import HOURS_PER_YEAR, five_year_loss_table, kofn_cha
 from repro.analysis.repair_cost import disaster_traffic_table
 from repro.core.parameters import AEParameters
 from repro.simulation.metrics import format_table
-from repro.storage.maintenance import MaintenancePolicy
 from repro.system.archive import ArchiveStore
 
 
@@ -53,7 +52,7 @@ def main() -> None:
     # ------------------------------------------------------------------
     failed = archive.system.cluster.available_locations()[:10]
     archive.fail_locations(failed)
-    report = archive.repair(policy=MaintenancePolicy.FULL)
+    report = archive.repair()
     print(f"\ndisaster repair    : {report.summary()}")
     print(f"all versions intact: {all(archive.verify('measurements.bin', v) for v in (1, 2, 3))}")
 

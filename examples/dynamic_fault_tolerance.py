@@ -20,8 +20,7 @@ from repro.core.lattice import HelicalLattice
 from repro.core.parameters import AEParameters
 from repro.core.tamper import detection_probability, tamper_cost
 from repro.simulation.workload import document_bytes
-from repro.storage.maintenance import MaintenancePolicy
-from repro.system.entangled_store import EntangledStorageSystem
+from repro.system.service import StorageConfig, StorageService
 
 
 def main() -> None:
@@ -29,20 +28,23 @@ def main() -> None:
     # 1. Archive data with a double entanglement (200% overhead).
     # ------------------------------------------------------------------
     old_params = AEParameters.double(2, 5)
-    system = EntangledStorageSystem(old_params, location_count=50, block_size=1024, seed=4)
+    system = StorageService.open(
+        StorageConfig(scheme="ae-2-2-5", location_count=50, block_size=1024, seed=4)
+    )
+    lattice = system.scheme.lattice
     payload = document_bytes(200_000, seed=7)
     system.put("archive-2019", payload)
     print(f"archive encoded with {old_params.spec()}: "
-          f"{system.lattice.size} data blocks, {system.lattice.parity_count} parities")
+          f"{lattice.size} data blocks, {lattice.parity_count} parities")
 
     # ------------------------------------------------------------------
     # 2. Years later the archive must tolerate harsher failure scenarios:
     #    plan and execute the upgrade to alpha = 3.
     # ------------------------------------------------------------------
-    plan = plan_alpha_upgrade(old_params, 3, system.lattice.size)
+    plan = plan_alpha_upgrade(old_params, 3, lattice.size)
     print(f"\nupgrade plan: {plan.summary()}")
     new_parities = upgrade_alpha(
-        old_params, 3, system.lattice.size,
+        old_params, 3, lattice.size,
         lambda data_id: system.get_block(data_id),
         system.block_size,
     )
@@ -57,17 +59,17 @@ def main() -> None:
     # ------------------------------------------------------------------
     system.fail_locations(range(0, 15))  # 30% of the locations
     assert system.read("archive-2019") == payload
-    report = system.repair(MaintenancePolicy.FULL)
+    report = system.repair()
     print(f"after a 30% disaster: data loss = {report.data_loss}, "
-          f"{report.repaired_count} blocks repaired in {report.round_count} rounds")
+          f"{report.repaired_count} blocks repaired in {report.rounds} rounds")
 
     # ------------------------------------------------------------------
     # 4. Anti-tampering: the price of an undetected modification.
     # ------------------------------------------------------------------
     new_params = plan.new_params
-    lattice = HelicalLattice(new_params, system.lattice.size)
-    victim = system.lattice.size // 2
-    cost = tamper_cost(lattice, victim)
+    upgraded = HelicalLattice(new_params, lattice.size)
+    victim = lattice.size // 2
+    cost = tamper_cost(upgraded, victim)
     print(f"\nanti-tampering: {cost.summary()}")
     for audited in (0.05, 0.20, 0.50):
         print(f"  auditing {audited:.0%} of parities detects a naive tamper with "

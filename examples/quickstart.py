@@ -6,7 +6,8 @@ This walks through the primary API of the library:
 1. pick a code setting AE(alpha, s, p);
 2. entangle a document into data and parity blocks;
 3. simulate failures by dropping blocks;
-4. repair single failures with two-block XORs and read the document back.
+4. repair them in one call of the lattice repair loop (two-block XORs per
+   lost block) and read the document back.
 
 Run with::
 
@@ -15,7 +16,8 @@ Run with::
 
 from __future__ import annotations
 
-from repro import AEParameters, DataId, Decoder, Entangler
+from repro import AEParameters, DataId, ParityId
+from repro.codes.entanglement import EntanglementScheme
 from repro.core.blocks import join_blocks
 
 
@@ -35,17 +37,14 @@ def main() -> None:
     document = ("All along the helical lattice, every new block is tangled "
                 "with old parities, weaving a mesh of interdependent content. "
                 * 40).encode()
-    encoder = Entangler(params, block_size=256)
-    encoded_blocks, original_length = encoder.encode_bytes(document)
-    print(f"document bytes    : {original_length}")
-    print(f"data blocks       : {len(encoded_blocks)}")
-    print(f"parity blocks     : {sum(len(block.parities) for block in encoded_blocks)}")
+    scheme = EntanglementScheme(params, block_size=256)
+    part = scheme.encode(document)
+    print(f"document bytes    : {len(document)}")
+    print(f"data blocks       : {len(part.data_ids)}")
+    print(f"parity blocks     : {part.block_count - len(part.data_ids)}")
 
     # A flat payload store stands in for real storage devices.
-    store = {}
-    for encoded in encoded_blocks:
-        for block in encoded.all_blocks():
-            store[block.block_id] = block.payload
+    store = dict(part.blocks)
 
     # ------------------------------------------------------------------
     # 2. Damage the archive: drop several data blocks and some parities.
@@ -54,23 +53,26 @@ def main() -> None:
     for victim in victims:
         del store[victim]
     # Drop one parity too, to show parities are repaired the same way.
-    some_parity = encoded_blocks[5].parity_ids[0]
+    some_parity = ParityId(part.data_ids[5].index, params.strand_classes[0])
     del store[some_parity]
     print(f"\ndropped blocks    : {victims + [some_parity]}")
 
     # ------------------------------------------------------------------
     # 3. Repair through the lattice.
     # ------------------------------------------------------------------
-    decoder = Decoder(encoder.lattice, store.get, block_size=256)
+    outcome = scheme.repair(set(victims + [some_parity]), store.get)
+    assert not outcome.unrecovered
+    store.update(outcome.recovered)
     for victim in victims + [some_parity]:
-        store[victim] = decoder.repair(victim)
         print(f"repaired          : {victim}")
+    print(f"repair cost       : {outcome.blocks_read} block reads, "
+          f"{outcome.rounds} round(s)")
 
     # ------------------------------------------------------------------
     # 4. Read the document back and verify it.
     # ------------------------------------------------------------------
-    payloads = [store[encoded.data_id] for encoded in encoded_blocks]
-    recovered = join_blocks(payloads, original_length)
+    payloads = [store[data_id] for data_id in part.data_ids]
+    recovered = join_blocks(payloads, len(document))
     assert recovered == document
     print("\ndocument recovered bit-for-bit: OK")
 

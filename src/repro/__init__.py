@@ -60,11 +60,6 @@ Symbol                Paper reference / units
 ``EncodedBlock``      One data block plus its ``alpha`` parities (Sec. III-B).
 ``EncodedBatch``      A batch of encoded blocks kept in matrix form (rows are
                       blocks, payload bytes as ``numpy.uint8``).
-``Decoder``           Single-block repair from pp-/dp-tuples, two-block XORs
-                      (Sec. III-B and IV-A, Fig. 2).
-``IterativeRepairer`` Multi-round global repair after disasters (Sec. V-C4).
-``RepairReport``      Outcome of a global repair run: rounds, repaired and
-                      unrecovered block counts.
 ``Block``             Identifier plus payload (``numpy.uint8`` array, bytes).
 ``BlockId``           Union of ``DataId`` and ``ParityId``.
 ``DataId``            d-block identifier: lattice position ``i >= 1`` (Fig. 3).
@@ -94,9 +89,17 @@ multi-client request path, from ``repro.system.frontend``),
 many services, from ``repro.system.sharding``),
 ``RedundancyScheme`` / ``get_scheme`` (the
 pluggable redundancy protocol and registry, from ``repro.schemes``),
-``repro.system.entangled_store.EntangledStorageSystem`` (the AE-specific
-legacy shim), ``repro.storage`` (cluster, placement, repair management) and
-``repro.analysis`` / ``repro.simulation`` (the paper's evaluation).
+``repro.storage`` (cluster, placement, scrubbing) and ``repro.analysis`` /
+``repro.simulation`` (the paper's evaluation).
+
+Lattice repair has one implementation: ``get_scheme("ae-3-2-5")`` returns a
+``repro.codes.entanglement.EntanglementScheme`` whose ``repair(missing,
+fetch)`` rebuilds blocks from pp-/dp-tuples (two-block XORs, Sec. III-B and
+IV-A) in rounds, so blocks rebuilt in one round feed the next (Sec. V-C4).
+A stuck round reaches out to the unreachable members of the pending tuples,
+one ring at a time for at most six rings (the recovery paths of Fig. 2).
+Degraded reads (``read_block``, a batch of one), service repair, RAID-AE
+rebuilds, scrubbing and punctured parities all go through that loop.
 """
 
 from repro.core import (
@@ -105,15 +108,12 @@ from repro.core import (
     Block,
     BlockId,
     DataId,
-    Decoder,
     EncodedBatch,
     EncodedBlock,
     Entangler,
     HelicalLattice,
-    IterativeRepairer,
     NodeCategory,
     ParityId,
-    RepairReport,
     StrandClass,
     StrandId,
 )
@@ -148,7 +148,6 @@ __all__ = [
     "BlockUnavailableError",
     "ConcurrentStorageService",
     "DataId",
-    "Decoder",
     "DecodingError",
     "EncodedBatch",
     "EncodedBlock",
@@ -156,14 +155,12 @@ __all__ = [
     "HelicalLattice",
     "IntegrityError",
     "InvalidParametersError",
-    "IterativeRepairer",
     "LatticeBoundsError",
     "NodeCategory",
     "ParityId",
     "PlacementError",
     "RedundancyScheme",
     "RepairFailedError",
-    "RepairReport",
     "ReproError",
     "SchemeCapabilities",
     "ServiceOverloadedError",

@@ -2,13 +2,17 @@
 
 :class:`EntanglementScheme` wraps the helical-lattice machinery -- the
 vectorised :class:`~repro.core.encoder.BatchEntangler` on the write path and
-the :class:`~repro.core.decoder.Decoder` on the read/repair path -- behind
-the :class:`~repro.schemes.base.RedundancyScheme` interface, so the storage
-front-end can drive AE codes and the stripe-code baselines through the same
-verbs.  The scheme is *streaming*: the lattice grows with every encoded
-batch, parities chain across documents, and blocks are never physically
-deleted (paper, Sec. III-B: deletions happen only at the beginning of the
-mesh).
+the round-based :meth:`EntanglementScheme.repair` loop on the read/repair
+path -- behind the :class:`~repro.schemes.base.RedundancyScheme` interface,
+so the storage front-end can drive AE codes and the stripe-code baselines
+through the same verbs.  :meth:`~EntanglementScheme.repair` is the one place
+that picks a pp-/dp-tuple and rebuilds a lattice block: degraded reads,
+service repair, RAID-AE rebuilds, scrubbing and punctured strand heads all
+go through it.
+
+The scheme is *streaming*: the lattice grows with every encoded batch,
+parities chain across documents, and blocks are never physically deleted
+(paper, Sec. III-B: deletions happen only at the beginning of the mesh).
 """
 
 from __future__ import annotations
@@ -16,14 +20,13 @@ from __future__ import annotations
 from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
 from repro.core.batch_repair import execute_plan, plan_inputs, plan_round
-from repro.core.blocks import BlockId, ParityId, is_data, is_parity
-from repro.core.decoder import Decoder
-from repro.core.encoder import DEFAULT_BLOCK_SIZE, BatchEntangler
+from repro.core.blocks import BlockId, ParityId, is_data
+from repro.core.encoder import DEFAULT_BLOCK_SIZE, BatchEntangler, latest_strand_creators
 from repro.core.lattice import HelicalLattice
 from repro.core.parameters import AEParameters
 from repro.core.puncturing import PuncturedCode, puncture_rate
-from repro.core.xor import Payload, PayloadBatch
-from repro.exceptions import InvalidParametersError
+from repro.core.xor import Payload, PayloadBatch, as_payload
+from repro.exceptions import InvalidParametersError, RepairFailedError
 from repro.schemes.base import (
     BlockFetcher,
     EncodedPart,
@@ -34,10 +37,17 @@ from repro.schemes.base import (
 
 __all__ = [
     "EntanglementScheme",
+    "MAX_REPAIR_RINGS",
     "PuncturedEntanglementScheme",
     "ae_scheme_id",
     "punctured_scheme_id",
 ]
+
+
+#: How far a stuck repair reaches beyond its targets: each ring adds the
+#: unreachable members of the pending blocks' tuples as intermediate targets
+#: (the concentric recovery paths of Fig. 2).
+MAX_REPAIR_RINGS = 6
 
 
 def _sort_key(block_id: BlockId) -> Tuple[int, int, str]:
@@ -111,27 +121,41 @@ class EntanglementScheme(RedundancyScheme):
     # Read / repair path
     # ------------------------------------------------------------------
     def read_block(self, block_id: object, fetch: BlockFetcher) -> Payload:
-        return Decoder(self.lattice, fetch, self._block_size).get(block_id)
+        """Fetch one block; on a miss, rebuild it as a repair batch of one."""
+        payload = fetch(block_id)
+        if payload is not None:
+            return as_payload(payload, self._block_size)
+        recovered = self.repair({block_id}, fetch).recovered
+        if block_id not in recovered:
+            raise RepairFailedError(block_id, "no available recovery path")
+        return recovered[block_id]
 
     def repair(self, missing: Set[object], fetch: BlockFetcher) -> SchemeRepairOutcome:
         """Round-based lattice repair (paper, Sec. V-C4), executed in bulk.
 
         Each round is planned against an availability view frozen at the
-        round start (:func:`~repro.core.batch_repair.plan_round` picks the
-        same pp-/dp-tuples the per-block decoder would), the plan's inputs
-        are fetched in one bulk call when the fetcher advertises
-        ``try_get_many`` (a :class:`~repro.storage.cluster.ClusterBlockSource`),
-        and every target of the round is rebuilt in a single matrix XOR
-        pass.  Blocks repaired in one round become inputs of the next.
+        round start (:func:`~repro.core.batch_repair.plan_round` picks, per
+        target, the first complete pp-tuple of a data block or dp-tuple of a
+        parity), the plan's inputs are fetched in one bulk call when the
+        fetcher advertises ``try_get_many`` (a
+        :class:`~repro.storage.cluster.ClusterBlockSource`), and every target
+        of the round is rebuilt in a single matrix XOR pass.  Blocks repaired
+        in one round become inputs of the next.
+
+        When a round can plan none of the pending blocks, the unreachable
+        members of their tuples join as intermediate targets, one ring at a
+        time for at most :data:`MAX_REPAIR_RINGS` rings.  Intermediates feed
+        later rounds but are never returned: a punctured parity is simply a
+        block that is never stored, and a degraded read does not write back
+        the redundancy it had to rebuild on the way.
 
         ``blocks_read`` counts the *distinct* payloads the run obtained --
         from the source or from the overlay of earlier rounds -- so a
         surviving block feeding several dependent repairs is accounted once.
         """
         outcome = SchemeRepairOutcome()
-        pending = {
-            block_id for block_id in missing if self.lattice.has_block(block_id)
-        }
+        lattice = self.lattice
+        pending = {block_id for block_id in missing if lattice.has_block(block_id)}
         outcome.unrecovered = sorted(
             (block_id for block_id in missing if block_id not in pending),
             key=_sort_key,
@@ -140,6 +164,8 @@ class EntanglementScheme(RedundancyScheme):
         # Source payloads already obtained (``None`` = probed and absent).
         cache: Dict[BlockId, Optional[Payload]] = {}
         consumed: Set[BlockId] = set()
+        intermediates: Set[BlockId] = set()
+        rings = 0
         oracle = getattr(fetch, "is_available", None)
         bulk = getattr(fetch, "try_get_many", None)
 
@@ -169,9 +195,7 @@ class EntanglementScheme(RedundancyScheme):
                 ) -> bool:
                     return block_id in _snapshot or probed(block_id) is not None
 
-            steps = plan_round(
-                self.lattice, sorted(pending, key=_sort_key), available
-            )
+            steps = plan_round(lattice, sorted(pending, key=_sort_key), available)
             if oracle is not None:
                 # The oracle answered the planner without moving payloads;
                 # fetch the chosen inputs now, in one grouped call.
@@ -198,7 +222,21 @@ class EntanglementScheme(RedundancyScheme):
                     )
                 ]
             if not steps:
-                break
+                if rings == MAX_REPAIR_RINGS:
+                    break
+                ring = {
+                    member
+                    for block_id in pending
+                    for option in lattice.repair_dependencies(block_id)
+                    for member in option.required_blocks()
+                    if member not in pending and not available(member)
+                }
+                if not ring:
+                    break
+                rings += 1
+                pending |= ring
+                intermediates |= ring
+                continue
 
             def payload_of(
                 block_id: BlockId, _snapshot: Dict[BlockId, Payload] = snapshot
@@ -212,12 +250,16 @@ class EntanglementScheme(RedundancyScheme):
             overlay.update(recovered)
             pending.difference_update(recovered)
             outcome.rounds += 1
-        outcome.recovered = overlay
+        outcome.recovered = {
+            block_id: payload
+            for block_id, payload in overlay.items()
+            if block_id not in intermediates
+        }
         obtained = {
             block_id for block_id, payload in cache.items() if payload is not None
         }
         outcome.blocks_read = len(consumed | obtained)
-        outcome.unrecovered.extend(sorted(pending, key=_sort_key))
+        outcome.unrecovered.extend(sorted(pending - intermediates, key=_sort_key))
         return outcome
 
     # ------------------------------------------------------------------
@@ -233,10 +275,22 @@ class EntanglementScheme(RedundancyScheme):
         This is the paper's broker crash recovery (Sec. IV-A): the encoder
         only needs the head parity of each strand, all of which live in
         remote storage, so a durable reopen can continue entangling exactly
-        where the closed service stopped.
+        where the closed service stopped.  Heads the fetch cannot supply --
+        punctured ones, or ones on failed locations -- are rebuilt through
+        one :meth:`repair` call.
         """
-        blocks_encoded = int(state.get("blocks_encoded", 0))
-        self._entangler.restore(blocks_encoded, fetch)
+        size = int(state.get("blocks_encoded", 0))
+        heads: Dict[object, Optional[Payload]] = {}
+        for strand, creator in latest_strand_creators(self.params, size).items():
+            head = ParityId(creator, strand.strand_class)
+            heads[head] = fetch(head)
+        lost = {head for head, payload in heads.items() if payload is None}
+        if lost:
+            # Repair plans over the lattice, so regrow it to the stored size.
+            self._entangler.restore(0, fetch)
+            self.lattice.grow(size)
+            heads.update(self.repair(lost, fetch).recovered)
+        self._entangler.restore(size, heads.get)
 
     # ------------------------------------------------------------------
     # Metadata
@@ -257,10 +311,10 @@ class PuncturedEntanglementScheme(EntanglementScheme):
     tolerance for intermediate code rates between the ``alpha`` steps: the
     deterministic :func:`~repro.core.puncturing.puncture_rate` policy decides
     per parity identity whether the block is stored, so readers, writers and
-    repair agree on the punctured set without extra metadata.  Punctured
-    parities behave exactly like missing blocks -- the decoder regenerates
-    them on demand during reads and repair -- but they are never written
-    back to storage.
+    repair agree on the punctured set without extra metadata.  A punctured
+    parity is just a block that is never stored: repair regenerates it as an
+    intermediate target when a read or a rebuild needs it, and never returns
+    it for writing back.
     """
 
     def __init__(
@@ -325,61 +379,3 @@ class PuncturedEntanglementScheme(EntanglementScheme):
             if is_data(block_id) or not self._code.is_punctured(block_id)
         ]
         return part
-
-    # ------------------------------------------------------------------
-    # Repair: regenerate punctured parities as intermediates when needed
-    # ------------------------------------------------------------------
-    def repair(self, missing: Set[object], fetch: BlockFetcher) -> SchemeRepairOutcome:
-        """Batched repair with a punctured-regeneration fallback pass.
-
-        The first pass is the plain round-based repair; targets it cannot
-        reach may depend on punctured parities, so a second pass adds the
-        punctured set to the plan -- the planner rebuilds those parities as
-        intermediate targets -- and the outcome is filtered back to the
-        caller's missing set, so regenerated punctured parities are counted
-        in ``blocks_read`` but never surface as recovered blocks (nothing
-        un-punctures the code by writing them back).
-        """
-        outcome = super().repair(missing, fetch)
-        stuck = [
-            block_id
-            for block_id in outcome.unrecovered
-            if self.lattice.has_block(block_id)
-        ]
-        if not stuck:
-            return outcome
-        wanted = set(missing)
-        expanded = wanted | set(self.punctured_parities())
-        second = super().repair(expanded, fetch)
-        second.recovered = {
-            block_id: payload
-            for block_id, payload in second.recovered.items()
-            if block_id in wanted
-        }
-        second.unrecovered = [
-            block_id for block_id in second.unrecovered if block_id in wanted
-        ]
-        return second
-
-    # ------------------------------------------------------------------
-    # Durability: strand heads may be punctured and need regeneration
-    # ------------------------------------------------------------------
-    def restore_state(self, state: Dict[str, object], fetch: BlockFetcher) -> None:
-        size = int(state.get("blocks_encoded", 0))
-        if size == 0:
-            self._entangler.restore(size, fetch)
-            return
-        lattice = HelicalLattice(self.params, size)
-        decoder = Decoder(lattice, fetch, self._block_size)
-
-        def fetch_or_regenerate(block_id: object) -> Optional[Payload]:
-            payload = fetch(block_id)
-            if (
-                payload is None
-                and is_parity(block_id)
-                and self._code.is_punctured(block_id)
-            ):
-                return decoder.get(block_id)
-            return payload
-
-        self._entangler.restore(size, fetch_or_regenerate)

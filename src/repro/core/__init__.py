@@ -2,7 +2,7 @@
 
 This subpackage contains the paper's primary contribution: the helical
 lattice model, the entanglement rules of Tables I and II, the streaming
-encoder, the repair decoder, and the code extensions (sealed-bucket write
+encoder, the vectorised repair-round planner, and the code extensions (sealed-bucket write
 scheduling, puncturing, dynamic parameter upgrades and the anti-tampering
 analysis).
 """
@@ -25,12 +25,6 @@ from repro.core.blocks import (
     split_into_blocks,
 )
 from repro.core.buckets import WriteScheduler, WriteScheduleReport, compare_write_parallelism
-from repro.core.decoder import (
-    Decoder,
-    IterativeRepairer,
-    RepairReport,
-    RepairRound,
-)
 from repro.core.dynamic import (
     AlphaUpgrader,
     DataFetcher,
@@ -98,13 +92,11 @@ __all__ = [
     "DataFetcher",
     "DataId",
     "DataRepairOption",
-    "Decoder",
     "EncodedBatch",
     "EncodedBlock",
     "Entangler",
     "EpochHistory",
     "HelicalLattice",
-    "IterativeRepairer",
     "LatticePosition",
     "NodeCategory",
     "ParameterEpoch",
@@ -113,8 +105,6 @@ __all__ = [
     "PuncturedCode",
     "PuncturingPolicy",
     "RepairPlanStep",
-    "RepairReport",
-    "RepairRound",
     "StrandClass",
     "StrandHeadRegistry",
     "StrandId",

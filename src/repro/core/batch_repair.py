@@ -1,15 +1,16 @@
 """Vectorised round planning for lattice repair.
 
-The sequential :class:`~repro.core.decoder.Decoder` rebuilds one block per
-call: fetch the two tuple inputs, XOR them, return.  For a whole repair round
-that is thousands of tiny Python round trips over payloads that are already
-sitting in memory.  This module splits the round into two phases so the
-storage layer and the XOR kernels each see one bulk operation:
+Rebuilding one block at a time -- fetch the two tuple inputs, XOR them,
+return -- costs thousands of tiny Python round trips per repair round over
+payloads that are already sitting in memory.  This module splits a round
+into two phases so the storage layer and the XOR kernels each see one bulk
+operation; :meth:`repro.codes.entanglement.EntanglementScheme.repair` drives
+them round after round:
 
 * :func:`plan_round` walks the pending blocks and, against a cheap
-  availability oracle, picks the same pp-/dp-tuple the decoder would use --
-  one :class:`RepairPlanStep` per repairable block, none for blocks no
-  surviving tuple can rebuild this round;
+  availability oracle, picks one pp-/dp-tuple per repairable block -- one
+  :class:`RepairPlanStep` each, none for blocks no surviving tuple can
+  rebuild this round;
 * :func:`execute_plan` gathers every step's two inputs into two payload
   matrices and reconstructs all targets in a single in-place
   :func:`~repro.core.xor.xor_into` matrix pass.
@@ -21,7 +22,7 @@ exactly one matrix XOR regardless of how data and parity targets mix.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Iterable, List, NamedTuple, Optional, Tuple
+from typing import Callable, Dict, Iterable, List, NamedTuple, Optional
 
 from repro.core.blocks import BlockId, DataId, ParityId, is_data
 from repro.core.lattice import HelicalLattice
@@ -57,11 +58,10 @@ def plan_round(
 ) -> List[RepairPlanStep]:
     """Plan one repair round over ``pending`` blocks.
 
-    Mirrors the option order of :class:`~repro.core.decoder.Decoder` at
-    recursion depth 0: data blocks try their alpha pp-tuples in strand-class
-    order, parities try the left dp-tuple before the right one.  Blocks
-    without a fully available tuple are simply absent from the plan (they
-    wait for a later round).  ``pending`` must not be treated as available
+    Data blocks try their alpha pp-tuples in strand-class order, parities
+    try the left dp-tuple before the right one.  Blocks without a fully
+    available tuple are simply absent from the plan (they wait for a later
+    round).  ``pending`` must not be treated as available
     by the probe: within a round every input comes from blocks that existed
     before the round started.
     """
@@ -148,21 +148,3 @@ def execute_plan(
     xor_into(firsts, seconds)
     return {step.target: firsts[row] for row, step in enumerate(steps)}
 
-
-def count_new_reads(
-    steps: Iterable[RepairPlanStep], already_read: set
-) -> Tuple[int, set]:
-    """How many distinct not-yet-counted inputs this plan consumes.
-
-    Returns the count and the set of newly counted block ids; the caller
-    merges them into its running ``already_read`` set so a surviving block
-    feeding several dependent repairs -- within a round or across rounds --
-    is accounted once.
-    """
-    fresh = {
-        block_id
-        for step in steps
-        for block_id in (step.first, step.second)
-        if block_id is not None and block_id not in already_read
-    }
-    return len(fresh), fresh

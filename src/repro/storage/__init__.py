@@ -58,11 +58,6 @@ from repro.storage.placement import (
     placement_balance,
 )
 from repro.storage.scrub import ChecksumManifest, ScrubFinding, ScrubReport, Scrubber
-from repro.storage.repair import (
-    ClusterRepairManager,
-    ClusterRepairReport,
-    ClusterRepairRound,
-)
 from repro.storage.topology import (
     DOMAIN_LEVELS,
     Topology,
@@ -85,9 +80,6 @@ __all__ = [
     "ChurnEvent",
     "ChurnTrace",
     "ClusterBlockSource",
-    "ClusterRepairManager",
-    "ClusterRepairReport",
-    "ClusterRepairRound",
     "ClusterStats",
     "CorrelatedFailureDomains",
     "DOMAIN_LEVELS",

@@ -2,7 +2,7 @@
 
 The cluster is the physical layer beneath the helical lattice: it stores the
 encoded blocks, knows which location holds each block, and exposes the
-availability view the decoder and the repair manager operate on.
+availability view lattice repair operates on.
 
 Every location's payloads live on a pluggable backend
 (:mod:`repro.storage.backends`): ``backend="memory"`` keeps the historical
@@ -262,7 +262,7 @@ class StorageCluster:
         return self._stores[location_id].get(block_id)
 
     def try_get_block(self, block_id: BlockId) -> Optional[Payload]:
-        """Availability-aware fetch used by the decoder (``None`` when unreachable)."""
+        """Availability-aware fetch used by lattice repair (``None`` when unreachable)."""
         location_id = self._directory.get(block_id)
         if location_id is None:
             return None
@@ -647,7 +647,7 @@ class ClusterBlockSource:
     :meth:`StorageCluster.try_get_block`, so it is a drop-in
     :data:`~repro.schemes.base.BlockFetcher`.  Schemes that know how to
     batch (see :meth:`EntanglementScheme.repair
-    <repro.schemes.entanglement_scheme.EntanglementScheme>`) duck-type for
+    <repro.codes.entanglement.EntanglementScheme.repair>`) duck-type for
     the extra hooks: :meth:`is_available` answers the round planner without
     moving payload bytes, and :meth:`try_get_many` fetches a whole plan's
     inputs grouped per location.

@@ -17,27 +17,30 @@ extremities.  This module operationalises that property:
 * attribution: a block whose *every* incident equation is violated is flagged
   as the likely tampered block (a data block participates in ``alpha``
   equations as creator, a parity in at most two);
-* :meth:`Scrubber.repair_block` rebuilds a flagged block from consistent
-  neighbours and rewrites it, restoring the lattice invariant.
+* :meth:`Scrubber.repair_block` rebuilds a flagged block through the
+  scheme's lattice repair, with the flagged blocks hidden from the fetch, and
+  rewrites it in place, restoring the lattice invariant.
 
 The scrubber works on any object exposing the small block-source interface of
 :class:`repro.storage.cluster.StorageCluster` (``try_get_block`` /
-``put_block`` / ``location_of``), so it can run against the entangled storage
-system, the RAID-AE array or a bare cluster.
+``location_of`` / ``location``), so it can run against a storage service's
+cluster, the RAID-AE array or a bare cluster.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Sequence, Set, Tuple, cast
 
 import numpy as np
 
-from repro.core.blocks import Block, BlockId, DataId, ParityId, is_data
-from repro.core.lattice import HelicalLattice
+from repro.core.blocks import Block, BlockId, DataId, ParityId
 from repro.core.xor import Payload, as_payload, xor_payloads, zero_payload
-from repro.exceptions import IntegrityError, RepairFailedError, UnknownBlockError
+from repro.exceptions import RepairFailedError, UnknownBlockError
 from repro.storage.cluster import StorageCluster
+
+if TYPE_CHECKING:  # type-only: the storage layer does not import the codes package
+    from repro.codes.entanglement import EntanglementScheme
 
 __all__ = [
     "ChecksumManifest",
@@ -168,14 +171,14 @@ class Scrubber:
 
     def __init__(
         self,
-        lattice: HelicalLattice,
+        scheme: "EntanglementScheme",
         cluster: StorageCluster,
-        block_size: int,
         manifest: Optional[ChecksumManifest] = None,
     ) -> None:
-        self._lattice = lattice
+        self._scheme = scheme
+        self._lattice = scheme.lattice
         self._cluster = cluster
-        self._block_size = block_size
+        self._block_size = scheme.block_size
         self._manifest = manifest
 
     @property
@@ -319,59 +322,48 @@ class Scrubber:
     # Repair of corrupted blocks
     # ------------------------------------------------------------------
     def repair_block(self, block_id: BlockId) -> Payload:
-        """Recompute a corrupted block from consistent neighbours and rewrite it.
+        """Rebuild a corrupted block from its neighbours and rewrite it.
 
-        Data blocks are rebuilt from a pp-tuple (two adjacent parities of one
-        strand); parities from a dp-tuple.  The repaired payload is written
-        back to the block's existing location and the manifest (if any) is
-        refreshed.
+        The block is rebuilt by the scheme's lattice repair with its stored
+        (corrupted) copy hidden from the fetch.  The repaired payload is
+        written back to the block's existing location and the manifest (if
+        any) is refreshed.
         """
-        candidate = self._recompute(block_id)
-        if candidate is None:
+        rebuilt = self._rewrite([block_id])
+        if block_id not in rebuilt:
             raise RepairFailedError(block_id, "no consistent neighbours available")
-        location = self._cluster.location_of(block_id)
-        self._cluster.location(location).put(block_id, candidate)
-        if self._manifest is not None:
-            self._manifest.record_payload(block_id, candidate)
-        return candidate
+        return rebuilt[block_id]
 
     def repair_suspects(self, report: Optional[ScrubReport] = None) -> List[BlockId]:
-        """Repair every suspect of ``report`` (running a fresh scrub when omitted)."""
-        report = report if report is not None else self.scrub()
-        repaired: List[BlockId] = []
-        for block_id in report.suspects:
-            try:
-                self.repair_block(block_id)
-            except RepairFailedError:
-                continue
-            repaired.append(block_id)
-        return repaired
+        """Repair every suspect of ``report`` (running a fresh scrub when omitted).
 
-    def _recompute(self, block_id: BlockId) -> Optional[Payload]:
-        if is_data(block_id):
-            for option in self._lattice.data_repair_options(block_id.index):
-                output_payload = self._fetch(option.output_parity)
-                if output_payload is None:
-                    continue
-                if option.input_parity is None:
-                    return output_payload
-                input_payload = self._fetch(option.input_parity)
-                if input_payload is None:
-                    continue
-                return xor_payloads(input_payload, output_payload)
-            return None
-        parity: ParityId = block_id  # type: ignore[assignment]
-        creator = parity.index
-        data_payload = self._fetch(DataId(creator))
-        if data_payload is None:
-            return None
-        input_parity = self._lattice.input_parity(creator, parity.strand_class)
-        if input_parity is None:
-            return data_payload
-        input_payload = self._fetch(input_parity)
-        if input_payload is None:
-            return None
-        return xor_payloads(data_payload, input_payload)
+        All suspects are rebuilt in one lattice repair with every one of them
+        hidden from the fetch, so no corrupted copy feeds another's rebuild.
+        """
+        report = report if report is not None else self.scrub()
+        return list(self._rewrite(report.suspects))
+
+    def _rewrite(self, flagged: Sequence[BlockId]) -> Dict[BlockId, Payload]:
+        """Rebuild ``flagged`` with their stored copies hidden; rewrite in place."""
+        hidden: Set[object] = set(flagged)
+
+        def fetch(block_id: object) -> Optional[Payload]:
+            if block_id in hidden:
+                return None
+            return self._cluster.try_get_block(cast(BlockId, block_id))
+
+        recovered = self._scheme.repair(hidden, fetch).recovered
+        rebuilt: Dict[BlockId, Payload] = {}
+        for block_id in flagged:
+            if block_id not in recovered:
+                continue
+            payload = recovered[block_id]
+            location = self._cluster.location_of(block_id)
+            self._cluster.location(location).put(block_id, payload)
+            if self._manifest is not None:
+                self._manifest.record_payload(block_id, payload)
+            rebuilt[block_id] = payload
+        return rebuilt
 
 
 def _block_order(item: Tuple[BlockId, Tuple[int, int]]) -> Tuple[int, int, str]:

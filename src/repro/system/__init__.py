@@ -8,7 +8,6 @@
   behind ``repro-experiments load`` and the service benchmark;
 * :mod:`repro.system.compare` -- the same workload and failure trace run
   across schemes, measured next to the analytic Table IV costs;
-* :mod:`repro.system.entangled_store` -- the AE-specific legacy shim;
 * :mod:`repro.system.backup` -- the geo-replicated cooperative backup network;
 * :mod:`repro.system.raid` -- entangled mirror arrays and RAID-AE;
 * :mod:`repro.system.keys` -- deterministic block keys and location mapping;
@@ -40,6 +39,7 @@ from repro.system.service import (
     ServiceStatus,
     StorageConfig,
     StorageService,
+    StoredDocument,
 )
 from repro.system.sharding import (
     FederationRepairReport,
@@ -62,12 +62,7 @@ from repro.system.backup import (
     RedundancyDegradation,
     RepairStep,
 )
-from repro.system.entangled_store import (
-    EntangledStorageSystem,
-    StoredDocument,
-    SystemStatus,
-)
-from repro.system.keys import BlockKey, derive_key, location_for_block, location_for_key
+from repro.system.keys import BlockKey, derive_key, location_for_block
 from repro.system.raid import (
     EntangledMirrorArray,
     MirrorDrive,
@@ -106,7 +101,6 @@ __all__ = [
     "BlockKey",
     "CooperativeBackupNetwork",
     "EntangledMirrorArray",
-    "EntangledStorageSystem",
     "MirrorDrive",
     "ParityRepairTrace",
     "RAIDAEArray",
@@ -114,8 +108,6 @@ __all__ = [
     "RepairStep",
     "SimpleEntanglementChain",
     "StoredDocument",
-    "SystemStatus",
     "derive_key",
     "location_for_block",
-    "location_for_key",
 ]

@@ -10,23 +10,25 @@ roles.  Each user manages its own entanglement lattice, so multiple lattices
 The module reproduces the failure-mode walkthrough of Fig. 5 and the repair
 steps of Table III: when nodes become unavailable, each lattice degrades
 differently; a parity stored on a faulty node is regenerated from a complete
-dp-tuple fetched from the surviving nodes.
+dp-tuple fetched from the surviving nodes.  Each user's lattice is an
+:class:`~repro.codes.entanglement.EntanglementScheme`, so restoring a file is
+one call of the scheme's lattice repair.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Set, Tuple, cast
 
+from repro.codes.entanglement import EntanglementScheme
 from repro.core.blocks import Block, BlockId, DataId, ParityId, join_blocks
-from repro.core.decoder import Decoder
-from repro.core.encoder import Entangler
 from repro.core.lattice import HelicalLattice
 from repro.core.parameters import AEParameters
 from repro.core.xor import Payload, xor_payloads, zero_payload
 from repro.exceptions import RepairFailedError, UnknownBlockError
 from repro.storage.block_store import BlockStore
-from repro.system.keys import BlockKey, derive_key, location_for_key
+from repro.system.keys import BlockKey, derive_key, location_for_block
+from repro.system.sharding import ShardRing
 
 
 @dataclass
@@ -118,7 +120,7 @@ class CooperativeBackupNetwork:
         self._params = params
         self._block_size = block_size
         self.nodes: List[BackupNode] = [BackupNode(node_id) for node_id in range(node_count)]
-        self._encoders: Dict[str, Entangler] = {}
+        self._schemes: Dict[str, EntanglementScheme] = {}
         self._documents: Dict[Tuple[str, str], BackupDocument] = {}
         #: Where each user's parity blocks were uploaded.
         self._parity_locations: Dict[Tuple[str, ParityId], int] = {}
@@ -144,13 +146,13 @@ class CooperativeBackupNetwork:
         for node_id in node_ids:
             self.nodes[node_id].recover()
 
-    def _encoder_for(self, owner: str) -> Entangler:
-        if owner not in self._encoders:
-            self._encoders[owner] = Entangler(self._params, self._block_size)
-        return self._encoders[owner]
+    def _scheme_for(self, owner: str) -> EntanglementScheme:
+        if owner not in self._schemes:
+            self._schemes[owner] = EntanglementScheme(self._params, self._block_size)
+        return self._schemes[owner]
 
     def lattice_of(self, owner: str) -> HelicalLattice:
-        return self._encoder_for(owner).lattice
+        return self._scheme_for(owner).lattice
 
     # ------------------------------------------------------------------
     # Backup (upload) path
@@ -158,7 +160,7 @@ class CooperativeBackupNetwork:
     def backup(self, node_id: int, filename: str, data: bytes) -> BackupDocument:
         """Encode a file on ``node_id`` and upload its parities to remote nodes."""
         owner = self.owner_name(node_id)
-        encoder = self._encoder_for(owner)
+        encoder = self._scheme_for(owner).entangler
         owner_node = self.nodes[node_id]
         encoded_blocks, length = encoder.encode_bytes(data)
         data_ids: List[DataId] = []
@@ -172,10 +174,9 @@ class CooperativeBackupNetwork:
         return document
 
     def _upload_parity(self, owner: str, owner_node_id: int, parity: Block) -> int:
-        key = derive_key(owner, parity.block_id)
-        target = location_for_key(key, len(self.nodes))
-        if target == owner_node_id and len(self.nodes) > 1:
-            target = (target + 1) % len(self.nodes)
+        target = location_for_block(
+            owner, parity.block_id, len(self.nodes), exclude=owner_node_id
+        )
         # Hosted blocks are keyed by (owner, block id): several users' lattices
         # share block identifiers, so the owner must be part of the key.
         self.nodes[target].hosted.put((owner, parity.block_id), parity.payload)
@@ -215,13 +216,25 @@ class CooperativeBackupNetwork:
         document = self._documents.get((owner, filename))
         if document is None:
             raise UnknownBlockError(f"{owner} has no backup named {filename!r}")
-        lattice = self.lattice_of(owner)
-        decoder = Decoder(
-            lattice,
-            lambda block_id: self._fetch(owner, node_id, block_id),
-            self._block_size,
-        )
-        payloads = [decoder.get(data_id) for data_id in document.data_ids]
+
+        def fetch(block_id: object) -> Optional[Payload]:
+            return self._fetch(owner, node_id, cast(BlockId, block_id))
+
+        # Direct fetches first; every lost block is rebuilt in one repair call.
+        fetched = [fetch(data_id) for data_id in document.data_ids]
+        missing: Set[object] = {
+            data_id
+            for data_id, payload in zip(document.data_ids, fetched)
+            if payload is None
+        }
+        recovered = self._scheme_for(owner).repair(missing, fetch).recovered
+        payloads: List[Payload] = []
+        for data_id, payload in zip(document.data_ids, fetched):
+            if payload is None:
+                if data_id not in recovered:
+                    raise RepairFailedError(data_id, "no available recovery path")
+                payload = recovered[data_id]
+            payloads.append(payload)
         # Re-populate the user's local store so later repairs can use the data.
         owner_node = self.nodes[node_id]
         if owner_node.available:
@@ -296,7 +309,7 @@ class CooperativeBackupNetwork:
         self, owner: str, owner_node_id: int, parity: ParityId, payload: Payload
     ) -> int:
         key = derive_key(owner, parity)
-        target = location_for_key(key, len(self.nodes))
+        target = ShardRing.digest_index(key.digest, len(self.nodes))
         attempts = 0
         while (
             not self.nodes[target].available or target == owner_node_id

@@ -13,7 +13,8 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass
 
-from repro.core.blocks import BlockId, is_data
+from repro.core.blocks import BlockId
+from repro.system.sharding import ShardRing
 
 
 @dataclass(frozen=True)
@@ -43,32 +44,18 @@ def derive_key(owner: str, block_id: BlockId) -> BlockKey:
     return BlockKey(owner=owner, block_label=label, digest=digest)
 
 
-def location_for_key(key: BlockKey, location_count: int) -> int:
-    """Deterministic key -> storage-node mapping (consistent-hash style).
-
-    A thin shim over :meth:`repro.system.sharding.ShardRing.digest_index`,
-    so block keys and the sharded document namespace share one hashing
-    convention.
-    """
-    from repro.system.sharding import ShardRing
-
-    return ShardRing.digest_index(key.digest, location_count)
-
-
 def location_for_block(
     owner: str, block_id: BlockId, location_count: int, exclude: int | None = None
 ) -> int:
     """Map a block to a storage node, optionally avoiding the owner's own node.
 
-    Data blocks stay on the owner's computer in the cooperative backup design;
-    parities are uploaded to remote nodes.  ``exclude`` lets the caller skip
-    the owner's node for parity placement.
+    The mapping is :meth:`repro.system.sharding.ShardRing.digest_index` of
+    the block key, so block keys and the sharded document namespace share one
+    hashing convention.  Data blocks stay on the owner's computer in the
+    cooperative backup design; parities are uploaded to remote nodes.
+    ``exclude`` lets the caller skip the owner's node for parity placement.
     """
-    if is_data(block_id):
-        # The caller normally keeps data local; still provide a stable mapping.
-        target = location_for_key(derive_key(owner, block_id), location_count)
-    else:
-        target = location_for_key(derive_key(owner, block_id), location_count)
+    target = ShardRing.digest_index(derive_key(owner, block_id).digest, location_count)
     if exclude is not None and location_count > 1 and target == exclude:
         target = (target + 1) % location_count
     return target

@@ -14,9 +14,6 @@ or any of the paper's stripe-code baselines.  Services are opened from a
     service.fail_locations(range(3))
     report = service.repair()
     assert service.get("report") == payload
-
-The legacy :class:`~repro.system.entangled_store.EntangledStorageSystem` is a
-thin AE-specific shim over this class.
 """
 
 from __future__ import annotations
@@ -33,7 +30,7 @@ from repro.core.dynamic import EpochHistory, ParameterEpoch
 from repro.core.encoder import DEFAULT_BLOCK_SIZE
 from repro.core.parameters import AEParameters
 from repro.core.xor import Payload, payload_to_bytes
-from repro.exceptions import InvalidParametersError, UnknownBlockError
+from repro.exceptions import InvalidParametersError, RepairFailedError, UnknownBlockError
 from repro.schemes.base import RedundancyScheme, SchemeCapabilities
 from repro.storage import placement as placement_registry
 from repro.storage.backends import decode_block_id, encode_block_id, write_json
@@ -1011,9 +1008,8 @@ class StorageService:
         unreachable ones are rebuilt together in a single scheme repair pass
         over a :meth:`~repro.storage.cluster.StorageCluster.block_source`
         (a *degraded read*: nothing is written back -- restoring redundancy
-        is :meth:`repair`'s job).  Blocks the batched pass cannot reach fall
-        back to the recursive per-block read, which can chain through
-        repairs of the redundancy blocks themselves.
+        is :meth:`repair`'s job).  A block that pass cannot rebuild raises
+        :class:`~repro.exceptions.RepairFailedError`.
 
         ``scheme`` selects the scheme that encoded the blocks; mid-
         transition reads of not-yet-migrated documents pass the fallback.
@@ -1032,15 +1028,12 @@ class StorageService:
             # branch above) never touch the scheme and stay lock-free.
             with self._state_lock:
                 outcome = scheme.repair(set(missing), self._cluster.block_source())
-                for position, payload in enumerate(payloads):
-                    if payload is None:
-                        payloads[position] = outcome.recovered.get(data_ids[position])
-                return [
-                    payload
-                    if payload is not None
-                    else scheme.read_block(data_id, self._cluster.try_get_block)
-                    for data_id, payload in zip(data_ids, payloads)
-                ]
+            for position, payload in enumerate(payloads):
+                if payload is None:
+                    data_id = data_ids[position]
+                    if data_id not in outcome.recovered:
+                        raise RepairFailedError(data_id, "no available recovery path")
+                    payloads[position] = outcome.recovered[data_id]
         return payloads
 
     def _scheme_for(self, name: str) -> RedundancyScheme:

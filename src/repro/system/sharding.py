@@ -98,7 +98,7 @@ class ShardRing:
     while a membership change builds its successor.
 
     The digest -> index mapping of the decentralised key scheme
-    (:func:`repro.system.keys.location_for_key`) is the degenerate
+    (:func:`repro.system.keys.location_for_block`) is the degenerate
     single-point form of the same idea and lives here too
     (:meth:`digest_index`), so the system has exactly one key-hashing
     convention.
@@ -146,9 +146,9 @@ class ShardRing:
     def digest_index(digest: str, count: int) -> int:
         """Deterministic hex-digest -> index mapping (modulo form).
 
-        The single-point convention of :mod:`repro.system.keys`:
-        ``location_for_key`` is a thin shim over this method, so block keys
-        and document routing share one hashing scheme.
+        The single-point convention of :mod:`repro.system.keys`: block keys
+        map to backup nodes through this method, so block keys and document
+        routing share one hashing scheme.
         """
         if count < 1:
             raise PlacementError("location_count must be positive")

@@ -8,7 +8,6 @@ import pytest
 from repro.core.blocks import DataId
 from repro.core.parameters import AEParameters
 from repro.exceptions import IntegrityError, UnknownBlockError
-from repro.storage.maintenance import MaintenancePolicy
 from repro.system.archive import ArchiveEntry, ArchiveStore
 
 
@@ -131,7 +130,7 @@ class TestFailureRecovery:
         cluster = archive.system.cluster
         failed = cluster.available_locations()[:4]
         archive.fail_locations(failed)
-        report = archive.repair(policy=MaintenancePolicy.FULL)
+        report = archive.repair()
         assert report.data_loss == 0
         assert report.repaired_count > 0
         # After relocation the document is readable even though the failed

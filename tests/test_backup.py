@@ -6,7 +6,7 @@ import pytest
 
 from repro.core.blocks import DataId, ParityId
 from repro.core.parameters import AEParameters, StrandClass
-from repro.exceptions import UnknownBlockError
+from repro.exceptions import RepairFailedError, UnknownBlockError
 from repro.system.backup import CooperativeBackupNetwork
 
 from tests.conftest import make_payload
@@ -61,6 +61,14 @@ class TestFailureModeAndRepair:
         network.node(0).lose_local_data()
         network.fail_nodes([2, 3, 4])
         assert network.restore_file(0, "notes") == payload
+
+    def test_restore_fails_typed_when_nothing_survives(self):
+        network = small_network()
+        network.backup(0, "notes", make_payload(6, 3000))
+        network.node(0).lose_local_data()
+        network.fail_nodes(range(1, 12))
+        with pytest.raises(RepairFailedError):
+            network.restore_file(0, "notes")
 
     def test_parity_repair_follows_table_three_steps(self):
         """The regenerated parity walkthrough of Table III."""

@@ -60,3 +60,18 @@ class TestCoreImportSurface:
             "puncture_rate",
         ):
             assert required in repro.core.__all__
+
+    def test_one_repair_loop(self):
+        """Lattice repair lives in EntanglementScheme.repair alone; the
+        recursive decoder and the iterative repairer left the surface."""
+        import repro
+        import repro.storage
+        import repro.system
+
+        for gone in ("Decoder", "IterativeRepairer", "RepairReport", "RepairRound"):
+            assert gone not in repro.core.__all__
+            assert gone not in repro.__all__
+        assert "ClusterRepairManager" not in repro.storage.__all__
+        assert "EntangledStorageSystem" not in repro.system.__all__
+        for required in ("RepairPlanStep", "execute_plan", "plan_inputs", "plan_round"):
+            assert required in repro.core.__all__

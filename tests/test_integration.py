@@ -5,16 +5,14 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.codes.entanglement import EntanglementScheme
 from repro.core.blocks import DataId
-from repro.core.decoder import Decoder
 from repro.core.dynamic import upgrade_alpha
-from repro.core.encoder import Entangler
 from repro.core.parameters import AEParameters
 from repro.core.xor import payloads_equal
 from repro.simulation.workload import WorkloadSpec, payload_stream
 from repro.storage.failures import disaster_for_fraction
-from repro.storage.maintenance import MaintenancePolicy
-from repro.system.entangled_store import EntangledStorageSystem
+from repro.system.service import StorageConfig, StorageService
 
 from tests.conftest import make_payload
 
@@ -24,7 +22,9 @@ class TestArchiveLifecycle:
 
     def test_full_lifecycle(self):
         params = AEParameters.double(2, 5)
-        system = EntangledStorageSystem(params, location_count=40, block_size=256, seed=13)
+        system = StorageService.open(
+            StorageConfig(scheme="ae-2-2-5", location_count=40, block_size=256, seed=13)
+        )
         documents = {
             f"doc-{index}": make_payload(index, 3_000 + 137 * index) for index in range(6)
         }
@@ -36,22 +36,24 @@ class TestArchiveLifecycle:
         system.fail_locations(disaster.failed_locations)
         for name, payload in documents.items():
             assert system.read(name) == payload
-        report = system.repair(MaintenancePolicy.FULL)
+        report = system.repair()
         assert report.data_loss == 0
 
         # The archive owner later raises alpha from 2 to 3 without re-encoding.
+        size = system.scheme.lattice.size
         new_parities = upgrade_alpha(
             params,
             3,
-            system.lattice.size,
+            size,
             lambda data_id: system.get_block(data_id),
             system.block_size,
         )
-        assert len(new_parities) == system.lattice.size
+        assert len(new_parities) == size
 
     def test_streamed_workload_roundtrip(self):
         params = AEParameters.triple(2, 5)
-        encoder = Entangler(params, block_size=512)
+        scheme = EntanglementScheme(params, block_size=512)
+        encoder = scheme.entangler
         store = {}
         payloads = list(payload_stream(WorkloadSpec(block_count=64, block_size=512, seed=3)))
         for encoded in encoder.encode_stream(payloads):
@@ -64,14 +66,20 @@ class TestArchiveLifecycle:
         for index in range(1, 65, 3):
             for parity in encoder.lattice.output_parities(index)[:1]:
                 store.pop(parity, None)
-        decoder = Decoder(encoder.lattice, store.get, 512)
         for index in range(20, 30):
-            assert payloads_equal(decoder.repair(DataId(index)), removed[DataId(index)])
+            assert payloads_equal(
+                scheme.read_block(DataId(index), store.get), removed[DataId(index)]
+            )
+        # The same blocks as one batch: a single repair call.
+        outcome = scheme.repair(set(removed), store.get)
+        assert not outcome.unrecovered
+        for block_id, payload in removed.items():
+            assert payloads_equal(outcome.recovered[block_id], payload)
 
     @pytest.mark.parametrize("fraction", [0.1, 0.3])
     def test_documents_survive_paper_style_disasters(self, fraction):
-        system = EntangledStorageSystem(
-            AEParameters.triple(2, 5), location_count=60, block_size=256, seed=21
+        system = StorageService.open(
+            StorageConfig(scheme="ae-3-2-5", location_count=60, block_size=256, seed=21)
         )
         payload = make_payload(99, 30_000)
         system.put("archive", payload)

@@ -7,7 +7,7 @@ import pytest
 from repro.core.blocks import DataId, ParityId
 from repro.core.parameters import StrandClass
 from repro.exceptions import PlacementError
-from repro.system.keys import derive_key, location_for_block, location_for_key
+from repro.system.keys import derive_key, location_for_block
 
 
 class TestKeys:
@@ -29,23 +29,25 @@ class TestKeys:
 
     def test_location_mapping_is_in_range(self):
         for index in range(1, 200):
-            location = location_for_key(derive_key("alice", DataId(index)), 13)
+            location = location_for_block("alice", DataId(index), 13)
             assert 0 <= location < 13
 
     def test_location_mapping_requires_locations(self):
         with pytest.raises(PlacementError):
-            location_for_key(derive_key("alice", DataId(1)), 0)
+            location_for_block("alice", DataId(1), 0)
 
     def test_location_mapping_is_the_ring_digest_convention(self):
-        """location_for_key is a thin shim over ShardRing.digest_index; the
-        historical mapping (first-12-hex modulo) is pinned byte-for-byte."""
+        """Block keys map through ShardRing.digest_index; the historical
+        mapping (first-12-hex modulo) is pinned byte-for-byte, for data
+        blocks and parities alike."""
         from repro.system.sharding import ShardRing
 
         for index in range(1, 50):
-            key = derive_key("alice", DataId(index))
-            expected = int(key.digest[:12], 16) % 13
-            assert location_for_key(key, 13) == expected
-            assert ShardRing.digest_index(key.digest, 13) == expected
+            for block_id in (DataId(index), ParityId(index, StrandClass.HORIZONTAL)):
+                key = derive_key("alice", block_id)
+                expected = int(key.digest[:12], 16) % 13
+                assert location_for_block("alice", block_id, 13) == expected
+                assert ShardRing.digest_index(key.digest, 13) == expected
 
     def test_exclusion_avoids_owner_node(self):
         for index in range(1, 100):

@@ -5,8 +5,8 @@ from __future__ import annotations
 import pytest
 
 from repro.core.blocks import DataId, ParityId
-from repro.core.decoder import Decoder
 from repro.core.dynamic import EpochHistory, plan_alpha_upgrade, upgrade_alpha
+from repro.codes.entanglement import EntanglementScheme
 from repro.core.encoder import Entangler
 from repro.core.lattice import HelicalLattice
 from repro.core.parameters import AEParameters, StrandClass
@@ -59,17 +59,16 @@ class TestPuncturing:
         """Dropping one strand class still leaves alpha-1 recovery paths."""
         params = AEParameters.triple(2, 5)
         code = puncture_strand_class(params, StrandClass.HORIZONTAL)
-        encoder = Entangler(params, block_size=BLOCK_SIZE)
+        scheme = EntanglementScheme(params, block_size=BLOCK_SIZE)
         store = {}
         for index in range(1, 41):
-            encoded = encoder.entangle(make_payload(index, BLOCK_SIZE))
+            encoded = scheme.entangler.entangle(make_payload(index, BLOCK_SIZE))
             store[encoded.data_id] = encoded.data.payload
             for parity in encoded.parities:
                 if not code.is_punctured(parity.block_id):
                     store[parity.block_id] = parity.payload
         original = store.pop(DataId(20))
-        decoder = Decoder(encoder.lattice, store.get, BLOCK_SIZE)
-        assert payloads_equal(decoder.repair(DataId(20)), original)
+        assert payloads_equal(scheme.read_block(DataId(20), store.get), original)
 
     def test_parity_survivors_helper(self):
         params = AEParameters.triple(2, 5)

@@ -75,19 +75,25 @@ class TestEntangledMirrorArray:
         array.fail_drives(data_drives=[1, 2], parity_drives=[1, 2])
         assert not array.data_survives()
 
-    def test_block_striping_layout(self):
-        array = EntangledMirrorArray(4, layout=EntangledMirrorArray.BLOCK_STRIPING)
+    def test_reads_need_no_parity_drive(self):
+        array = EntangledMirrorArray(4)
         for index in range(8):
             array.write(make_payload(index, 16))
         array.fail_drives(parity_drives=[0, 1, 2, 3])
         # All data drives intact: reads never need recovery.
         assert bytes(array.read(5)) == make_payload(5, 16)
 
+    def test_full_partition_placement(self):
+        """Drive pair ``i`` holds the chain positions congruent to ``i``."""
+        array = EntangledMirrorArray(4)
+        for index in range(8):
+            array.write(make_payload(index, 16))
+        assert bytes(array.data_drives[1].read(1)) == make_payload(5, 16)
+        assert sorted(array.parity_drives[3].content) == [0, 1]
+
     def test_invalid_configuration(self):
         with pytest.raises(InvalidParametersError):
             EntangledMirrorArray(0)
-        with pytest.raises(InvalidParametersError):
-            EntangledMirrorArray(4, layout="raid7")
 
 
 class TestRAIDAE:
@@ -111,9 +117,14 @@ class TestRAIDAE:
         raid = RAIDAEArray(AEParameters.triple(2, 2), disk_count=8, block_size=32)
         ids = [raid.write(make_payload(index, 32)) for index in range(24)]
         raid.fail_disk(1)
+        lost = raid.cluster.unavailable_blocks()
         report = raid.rebuild()
         assert report.data_loss == 0
         assert not report.unrecovered
+        assert set(report.repaired) == lost
+        assert raid.cluster.unavailable_blocks() == set()
+        for index, data_id in enumerate(ids):
+            assert bytes(raid.read(data_id)) == make_payload(index, 32)
 
     def test_add_disk_without_reencoding(self):
         """Horizontal scaling: existing blocks stay where they are."""

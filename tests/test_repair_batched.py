@@ -1,13 +1,15 @@
 """Equivalence and accounting tests for the batched repair pipeline.
 
-The batched cluster repair path (``ClusterRepairManager.repair``, the
-default) plans each round, bulk-fetches the surviving inputs and rebuilds
-every target in one matrix XOR pass.  These tests pin the contract that makes
-the speedup safe to ship:
+Service repair (``StorageService.repair``: ``EntanglementScheme.repair`` over
+a ``ClusterBlockSource``, then one grouped ``relocate_many``) plans each
+round, bulk-fetches the surviving inputs and rebuilds every target in one
+matrix XOR pass.  These tests pin the contract that makes the speedup safe
+to ship:
 
-* batched and per-block repair recover bit-identical payloads onto identical
-  locations, across code settings, seeds and failure patterns (including a
-  whole ``site:0`` disaster under ``spread-domains`` placement);
+* batched repair and the per-block reference loop
+  (``tests/repair_oracles.repair_sequential``) recover bit-identical payloads
+  onto identical locations, across code settings, seeds and failure patterns
+  (including a whole ``site:0`` disaster under ``spread-domains`` placement);
 * the read accounting matches the analytic costs of
   :mod:`repro.analysis.repair_cost`, and a surviving block feeding several
   dependent repairs is fetched and counted once per run;
@@ -26,8 +28,8 @@ import numpy as np
 import pytest
 
 from repro.analysis.repair_cost import repair_model_for
+from repro.codes.entanglement import EntanglementScheme
 from repro.core.blocks import DataId
-from repro.core.encoder import Entangler
 from repro.core.parameters import AEParameters
 from repro.core.xor import payloads_equal
 from repro.storage.backends import SegmentLogBackend
@@ -35,57 +37,68 @@ from repro.storage.block_store import BlockStore
 from repro.storage.cluster import StorageCluster
 from repro.storage.failures import disaster_for_target
 from repro.storage.placement import RandomPlacement
-from repro.storage.repair import ClusterRepairManager
 from repro.system.service import StorageConfig, StorageService
 
 from tests.conftest import make_payload
+from tests.repair_oracles import repair_sequential
 from tests.test_schemes import REQUIRED_IDS
 
 BLOCK_SIZE = 64
 
 
-def entangled_cluster(params: AEParameters, blocks: int, locations: int, seed: int):
-    """Encode ``blocks`` payloads onto a fresh cluster; returns (encoder, cluster, originals)."""
-    encoder = Entangler(params, block_size=BLOCK_SIZE)
+def entangled_service(params: AEParameters, blocks: int, locations: int, seed: int):
+    """Encode ``blocks`` payloads onto a fresh cluster behind a service;
+    returns (service, originals)."""
+    scheme = EntanglementScheme(params, BLOCK_SIZE)
     cluster = StorageCluster(locations, RandomPlacement(locations, seed=seed))
     originals = {}
     for index in range(1, blocks + 1):
-        encoded = encoder.entangle(make_payload(index, BLOCK_SIZE))
+        encoded = scheme.entangler.entangle(make_payload(index, BLOCK_SIZE))
         for block in encoded.all_blocks():
             originals[block.block_id] = block.payload
             cluster.put_block(block)
-    return encoder, cluster, originals
+    return StorageService(scheme, cluster), originals
 
 
-def repaired_ids(report):
-    return {block_id for round_ in report.rounds for block_id in round_.repaired}
+def batched_and_sequential(params: AEParameters, blocks: int, locations: int, seed: int, failed):
+    """Run the same disaster through service repair and the per-block oracle.
+
+    Returns ``(batched, sequential)``, each ``(cluster, missing, report)``.
+    """
+    runs = []
+    for batched in (True, False):
+        service, _ = entangled_service(params, blocks, locations, seed=seed)
+        cluster = service.cluster
+        cluster.fail_locations(failed)
+        missing = cluster.unavailable_blocks()
+        report = (
+            service.repair()
+            if batched
+            else repair_sequential(service.scheme.lattice, cluster, BLOCK_SIZE)
+        )
+        runs.append((cluster, missing, report))
+    return runs[0], runs[1]
 
 
 class TestBatchedSequentialEquivalence:
-    """``repair(batched=True)`` must be indistinguishable from the per-block loop."""
+    """Service repair must be indistinguishable from the per-block loop."""
 
     @pytest.mark.parametrize("spec", ["AE(1,-,-)", "AE(2,2,5)", "AE(3,2,5)"])
     @pytest.mark.parametrize("seed", [3, 11, 29])
     def test_identical_payloads_and_locations(self, spec, seed):
         params = AEParameters.parse(spec)
-        runs = {}
-        for batched in (False, True):
-            encoder, cluster, originals = entangled_cluster(params, 80, 24, seed=seed)
-            cluster.fail_locations(range(4))
-            manager = ClusterRepairManager(encoder.lattice, cluster, BLOCK_SIZE)
-            missing = manager.missing_blocks()
-            report = manager.repair(batched=batched)
-            runs[batched] = (cluster, missing, report, originals)
-        seq_cluster, missing, seq_report, originals = runs[False]
-        bat_cluster, bat_missing, bat_report, _ = runs[True]
+        _, originals = entangled_service(params, 80, 24, seed=seed)
+        (bat_cluster, bat_missing, bat_report), (seq_cluster, missing, seq_report) = (
+            batched_and_sequential(params, 80, 24, seed, range(4))
+        )
 
         # Same placement seed, same disaster: both paths saw the same work
         # list and must agree on what was recoverable.
         assert bat_missing == missing
-        assert repaired_ids(bat_report) == repaired_ids(seq_report)
+        assert set(bat_report.repaired) == seq_report.repaired
         assert bat_report.unrecovered == seq_report.unrecovered
 
-        for block_id in repaired_ids(bat_report):
+        for block_id in bat_report.repaired:
             assert payloads_equal(bat_cluster.get_block(block_id), originals[block_id])
             assert payloads_equal(seq_cluster.get_block(block_id), originals[block_id])
             # Relocation targets are a pure function of the block and the
@@ -97,16 +110,13 @@ class TestBatchedSequentialEquivalence:
 
     def test_agreement_on_unrecoverable_blocks(self):
         """A disaster beyond the code's strength: both paths report the same loss."""
-        params = AEParameters.single()
-        runs = {}
-        for batched in (False, True):
-            encoder, cluster, _ = entangled_cluster(params, 60, 10, seed=13)
-            cluster.fail_locations(range(6))
-            manager = ClusterRepairManager(encoder.lattice, cluster, BLOCK_SIZE)
-            runs[batched] = manager.repair(batched=batched)
-        assert runs[True].unrecovered == runs[False].unrecovered
-        assert repaired_ids(runs[True]) == repaired_ids(runs[False])
-        assert runs[True].data_loss == runs[False].data_loss
+        (_, _, batched), (_, _, sequential) = batched_and_sequential(
+            AEParameters.single(), 60, 10, 13, range(6)
+        )
+        assert batched.unrecovered == sequential.unrecovered
+        assert set(batched.repaired) == sequential.repaired
+        assert batched.data_loss == sequential.data_loss
+        assert batched.data_loss > 0
 
 
 class TestServiceRepairAcrossSchemes:
@@ -182,31 +192,31 @@ class TestReadAccounting:
     """Measured reads versus the analytic model of ``analysis.repair_cost``."""
 
     @staticmethod
-    def isolated_block_cluster(params: AEParameters, victim, blocks=60, locations=12):
-        """A cluster where ``victim`` is the only block at location 0."""
-        encoder = Entangler(params, block_size=BLOCK_SIZE)
+    def isolated_block_service(params: AEParameters, victims, blocks=60, locations=12):
+        """A service whose cluster holds exactly ``victims`` at location 0."""
+        scheme = EntanglementScheme(params, BLOCK_SIZE)
         cluster = StorageCluster(locations, RandomPlacement(locations, seed=2))
         spot = 1
         for index in range(1, blocks + 1):
-            encoded = encoder.entangle(make_payload(index, BLOCK_SIZE))
+            encoded = scheme.entangler.entangle(make_payload(index, BLOCK_SIZE))
             for block in encoded.all_blocks():
-                if block.block_id == victim:
+                if block.block_id in victims:
                     cluster.put_block(block, location_id=0)
                 else:
                     cluster.put_block(block, location_id=1 + spot % (locations - 1))
                     spot += 1
-        return encoder, cluster
+        cluster.fail_locations([0])
+        return StorageService(scheme, cluster)
 
     def test_single_failure_reads_match_analytic_cost(self):
         params = AEParameters.triple(2, 5)
         victim = DataId(30)
-        encoder, cluster = self.isolated_block_cluster(params, victim)
-        cluster.fail_locations([0])
-        manager = ClusterRepairManager(encoder.lattice, cluster, BLOCK_SIZE)
-        assert manager.missing_blocks() == {victim}
+        service = self.isolated_block_service(params, {victim})
+        cluster = service.cluster
+        assert cluster.unavailable_blocks() == {victim}
 
         before = sum(store.read_count for store in cluster.locations())
-        report = manager.repair()
+        report = service.repair()
         after = sum(store.read_count for store in cluster.locations())
 
         analytic = repair_model_for("ae-3-2-5").single_failure_cost(BLOCK_SIZE).blocks_read
@@ -223,50 +233,26 @@ class TestReadAccounting:
         p(3,4)}`` in one bulk read.
         """
         params = AEParameters.single()
-        encoder = Entangler(params, block_size=BLOCK_SIZE)
-        cluster = StorageCluster(12, RandomPlacement(12, seed=2))
-        spot = 1
         victims = {DataId(2), DataId(3)}
-        for index in range(1, 41):
-            encoded = encoder.entangle(make_payload(index, BLOCK_SIZE))
-            for block in encoded.all_blocks():
-                if block.block_id in victims:
-                    cluster.put_block(block, location_id=0)
-                else:
-                    cluster.put_block(block, location_id=1 + spot % 11)
-                    spot += 1
-        cluster.fail_locations([0])
+        service = self.isolated_block_service(params, victims, blocks=40)
+        # The same layout again for the per-block reference.
+        reference = self.isolated_block_service(params, victims, blocks=40)
+        sequential_cluster = reference.cluster
 
-        sequential_cluster = StorageCluster(12, RandomPlacement(12, seed=2))
-        # Re-run the same layout for the per-block reference.
-        encoder_seq = Entangler(params, block_size=BLOCK_SIZE)
-        spot = 1
-        for index in range(1, 41):
-            encoded = encoder_seq.entangle(make_payload(index, BLOCK_SIZE))
-            for block in encoded.all_blocks():
-                if block.block_id in victims:
-                    sequential_cluster.put_block(block, location_id=0)
-                else:
-                    sequential_cluster.put_block(block, location_id=1 + spot % 11)
-                    spot += 1
-        sequential_cluster.fail_locations([0])
+        batched_report = service.repair()
+        sequential_report = repair_sequential(
+            reference.scheme.lattice, sequential_cluster, BLOCK_SIZE
+        )
 
-        batched_report = ClusterRepairManager(
-            encoder.lattice, cluster, BLOCK_SIZE
-        ).repair(batched=True)
-        sequential_report = ClusterRepairManager(
-            encoder_seq.lattice, sequential_cluster, BLOCK_SIZE
-        ).repair(batched=False)
-
-        assert repaired_ids(batched_report) == victims
-        assert repaired_ids(sequential_report) == victims
+        assert set(batched_report.repaired) == victims
+        assert sequential_report.repaired == victims
         per_block = repair_model_for("ae-1").single_failure_cost(BLOCK_SIZE).blocks_read
         assert sequential_report.blocks_read == per_block * len(victims)
         # The shared parity p(2,3) is counted once, so one read is saved.
         assert batched_report.blocks_read == per_block * len(victims) - 1
         for block_id in victims:
             assert payloads_equal(
-                cluster.get_block(block_id), sequential_cluster.get_block(block_id)
+                service.cluster.get_block(block_id), sequential_cluster.get_block(block_id)
             )
 
 

@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.codes.entanglement import EntanglementScheme
 from repro.core.blocks import Block, DataId, ParityId
 from repro.core.parameters import AEParameters, StrandClass
 from repro.exceptions import RepairFailedError, UnknownBlockError
@@ -18,29 +19,30 @@ from repro.storage.scrub import (
     ScrubReport,
     Scrubber,
 )
-from repro.system.entangled_store import EntangledStorageSystem
+from repro.storage.cluster import StorageCluster
+from repro.storage.placement import RandomPlacement
+from repro.system.service import StorageService
 
 BLOCK_SIZE = 64
 
 
 def build_system(spec: str = "AE(3,2,5)", blocks: int = 30, seed: int = 0):
-    """An entangled storage system with a manifest recorded at write time."""
-    params = AEParameters.parse(spec)
-    system = EntangledStorageSystem(
-        params, location_count=20, block_size=BLOCK_SIZE, seed=seed
-    )
+    """An entangled storage service with a manifest recorded at write time."""
+    scheme = EntanglementScheme(AEParameters.parse(spec), BLOCK_SIZE)
+    system = StorageService(scheme, StorageCluster(20, RandomPlacement(20, seed=seed)))
     manifest = ChecksumManifest()
     rng = np.random.default_rng(seed)
     for _ in range(blocks):
         payload = rng.integers(0, 256, size=BLOCK_SIZE, dtype=np.uint8)
-        encoded = system.append_block(payload)
+        encoded = scheme.entangler.entangle(payload)
         for block in encoded.all_blocks():
+            system.cluster.put_block(block)
             manifest.record(block)
-    scrubber = Scrubber(system.lattice, system.cluster, BLOCK_SIZE, manifest)
+    scrubber = Scrubber(scheme, system.cluster, manifest)
     return system, manifest, scrubber
 
 
-def corrupt(system: EntangledStorageSystem, block_id) -> None:
+def corrupt(system: StorageService, block_id) -> None:
     """Silently flip bytes of a stored block (tampering)."""
     location = system.cluster.location_of(block_id)
     store = system.cluster.location(location)
@@ -92,7 +94,7 @@ class TestCleanScrub:
     def test_check_equation_holds_everywhere(self):
         system, _, scrubber = build_system("AE(2,2,2)", blocks=12)
         for creator in range(1, 13):
-            for strand_class in system.params.strand_classes:
+            for strand_class in system.scheme.params.strand_classes:
                 assert scrubber.check_equation(ParityId(creator, strand_class)) is True
 
     def test_check_equation_none_when_block_missing(self):
@@ -116,7 +118,7 @@ class TestTamperDetection:
         assert any(f.kind == CHECKSUM_MISMATCH and f.block_id == target for f in report.findings)
         violated = report.of_kind(EQUATION_VIOLATED)
         # All alpha equations of the tampered node are inconsistent.
-        assert len(violated) == system.params.alpha
+        assert len(violated) == system.scheme.params.alpha
 
     def test_tampered_parity_block_is_detected(self):
         system, _, scrubber = build_system(blocks=30)
@@ -127,7 +129,7 @@ class TestTamperDetection:
 
     def test_detection_without_manifest_uses_equations_only(self):
         system, _, _ = build_system(blocks=30)
-        scrubber = Scrubber(system.lattice, system.cluster, BLOCK_SIZE, manifest=None)
+        scrubber = Scrubber(system.scheme, system.cluster, manifest=None)
         target = DataId(12)
         corrupt(system, target)
         report = scrubber.scrub()
@@ -144,7 +146,7 @@ class TestTamperDetection:
 
     def test_verify_checksums_without_manifest_is_empty(self):
         system, _, _ = build_system(blocks=5)
-        scrubber = Scrubber(system.lattice, system.cluster, BLOCK_SIZE, manifest=None)
+        scrubber = Scrubber(system.scheme, system.cluster, manifest=None)
         assert scrubber.verify_checksums() == []
 
 
@@ -177,25 +179,34 @@ class TestScrubRepair:
 
     def test_repair_fails_without_consistent_neighbours(self):
         system, _, scrubber = build_system("AE(1,-,-)", blocks=10)
-        # Pick a node whose two incident parities live on locations different
-        # from its own, so we can take the parities away while keeping the
-        # (corrupted) data block writable.
-        target = None
-        parity_locations = []
-        for index in range(3, 9):
-            candidate = DataId(index)
-            own = system.cluster.location_of(candidate)
-            parities = [ParityId(index - 1, StrandClass.HORIZONTAL), ParityId(index, StrandClass.HORIZONTAL)]
-            locations = [system.cluster.location_of(parity) for parity in parities]
-            if own not in locations:
-                target = candidate
-                parity_locations = locations
-                break
-        assert target is not None, "no suitable node found for this seed"
+        target = DataId(5)
+        own = system.cluster.location_of(target)
         corrupt(system, target)
-        system.fail_locations(parity_locations)
+        # Only the target's own location stays up: none of its tuples, nor
+        # any block the ring step could rebuild them from, is reachable.
+        system.fail_locations(
+            [location for location in range(20) if location != own]
+        )
         with pytest.raises(RepairFailedError):
             scrubber.repair_block(target)
+
+    def test_suspects_rebuild_with_every_suspect_hidden(self):
+        """Two corrupted neighbours: the one repair pass reads neither
+        stored copy, so no corruption leaks into the other's rebuild."""
+        system, _, scrubber = build_system(blocks=30)
+        originals = {
+            block_id: np.asarray(system.cluster.get_block(block_id), dtype=np.uint8).copy()
+            for block_id in (DataId(15), ParityId(15, StrandClass.HORIZONTAL))
+        }
+        for block_id in originals:
+            corrupt(system, block_id)
+        report = ScrubReport(
+            findings=[ScrubFinding(CHECKSUM_MISMATCH, block_id) for block_id in originals]
+        )
+        assert set(scrubber.repair_suspects(report)) == set(originals)
+        for block_id, original in originals.items():
+            assert np.array_equal(system.cluster.get_block(block_id), original)
+        assert scrubber.scrub().clean
 
 
 class TestReportShape:

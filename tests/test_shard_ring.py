@@ -100,13 +100,13 @@ class TestMinimalMovement:
 
 class TestDigestConvention:
     def test_digest_index_is_the_keys_convention(self):
-        """location_for_key is a thin shim over ShardRing.digest_index."""
+        """Block keys map to nodes through ShardRing.digest_index."""
         from repro.core.blocks import DataId
-        from repro.system.keys import derive_key, location_for_key
+        from repro.system.keys import derive_key, location_for_block
 
         for index in range(1, 100):
             key = derive_key("alice", DataId(index))
-            assert location_for_key(key, 13) == ShardRing.digest_index(
+            assert location_for_block("alice", DataId(index), 13) == ShardRing.digest_index(
                 key.digest, 13
             )
             assert ShardRing.digest_index(key.digest, 13) == (

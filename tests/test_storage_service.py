@@ -3,7 +3,7 @@
 The core property (issue acceptance): for every registered scheme family,
 write → fail locations → repair → byte-exact read holds through the same
 API.  Plus delete with placement-index cleanup, the multi-scheme compare
-path and the EntangledStorageSystem back-compat shim.
+path and the AE-specific service surface.
 """
 
 from __future__ import annotations
@@ -12,12 +12,13 @@ import random
 
 import pytest
 
+from repro.codes.entanglement import EntanglementScheme
+from repro.core.blocks import DataId
 from repro.core.parameters import AEParameters
-from repro.exceptions import UnknownBlockError
+from repro.exceptions import RepairFailedError, UnknownBlockError
 from repro.schemes.stripe import StripeBlockId
 from repro.storage.cluster import StorageCluster
 from repro.system.compare import compare_schemes, single_failure_reads_measured
-from repro.system.entangled_store import EntangledStorageSystem
 from repro.system.service import (
     ServiceRepairReport,
     StorageConfig,
@@ -233,33 +234,105 @@ class TestConfigAndStatus:
         assert "lrc-xorbas" in status.summary()
 
 
-class TestEntangledStoreShim:
-    def test_shim_is_a_storage_service(self):
-        system = EntangledStorageSystem(AEParameters.triple(2, 5), location_count=20)
-        assert isinstance(system, StorageService)
-        assert system.scheme.scheme_id == "ae-3-2-5"
+def make_ae_service(locations: int = 30, block_size: int = 128, seed: int = 3) -> StorageService:
+    return StorageService.open(
+        StorageConfig(
+            scheme="ae-3-2-5", location_count=locations, block_size=block_size, seed=seed
+        )
+    )
 
-    def test_shim_old_surface_still_works(self):
+
+class TestEntanglementService:
+    """The AE-specific service surface: lattice, params, AE repair."""
+
+    def test_scheme_is_an_entanglement_scheme(self):
+        service = make_ae_service(locations=20)
+        assert isinstance(service.scheme, EntanglementScheme)
+        assert service.scheme.scheme_id == "ae-3-2-5"
+
+    def test_ae_surface(self):
         params = AEParameters.triple(2, 5)
-        system = EntangledStorageSystem(params, location_count=30, block_size=128)
+        service = make_ae_service()
         payload = seeded_payload(12, 128 * 20 + 17)
-        system.put("legacy", payload)
-        assert system.params == params
-        assert system.lattice.size == 21
-        assert system.read("legacy") == payload
-        system.fail_locations(range(3))
-        report = system.repair()  # ClusterRepairReport, policy-driven
-        assert hasattr(report, "policy")
-        assert system.verify_document("legacy", payload)
-        status = system.status()
-        assert status.data_blocks == 21
-        assert status.documents == 1
+        service.put("legacy", payload)
+        assert service.scheme.params == params
+        assert service.scheme.lattice.size == 21
+        assert service.read("legacy") == payload
+        service.fail_locations(range(3))
+        assert isinstance(service.repair(), ServiceRepairReport)
+        assert service.verify_document("legacy", payload)
+        assert service.status().documents == 1
 
-    def test_shim_append_block(self):
-        system = EntangledStorageSystem(AEParameters.single(), location_count=5, block_size=64)
-        encoded = system.append_block(b"\x07" * 64)
-        assert system.lattice.size == 1
-        assert bytes(system.get_block(encoded.data_id)) == b"\x07" * 64
+    def test_single_block_document(self):
+        service = StorageService.open(
+            StorageConfig(scheme="ae-1", location_count=5, block_size=64)
+        )
+        document = service.put("one", b"\x07" * 64)
+        assert document.data_ids == [DataId(1)]
+        assert service.scheme.lattice.size == 1
+        assert bytes(service.get_block(DataId(1))) == b"\x07" * 64
+        assert service.status().blocks == 2  # d1 and its one parity
+
+    def test_document_roundtrip(self):
+        service = make_ae_service()
+        payload = b"archival payload " * 500
+        document = service.put("doc", payload)
+        assert document.length == len(payload)
+        assert service.read("doc") == payload
+        assert service.scheme.lattice.size == document.block_count
+
+    def test_unknown_document(self):
+        with pytest.raises(UnknownBlockError):
+            make_ae_service().read("nope")
+
+    def test_status_counts(self):
+        service = make_ae_service()
+        service.put("doc", seeded_payload(1, 4000))
+        status = service.status()
+        assert status.blocks == 4 * service.scheme.lattice.size  # alpha = 3 parities each
+        assert status.unavailable_blocks == 0
+        assert "data" in status.summary()
+
+    def test_reads_survive_disasters(self):
+        service = make_ae_service(locations=40)
+        payload = seeded_payload(7, 20_000)
+        service.put("doc", payload)
+        service.fail_locations(range(0, 12))  # 30% of the locations
+        assert service.read("doc") == payload
+
+    def test_repair_restores_redundancy(self):
+        service = make_ae_service(locations=40)
+        payload = seeded_payload(9, 20_000)
+        service.put("doc", payload)
+        service.fail_locations(range(0, 12))
+        report = service.repair()
+        assert report.data_loss == 0
+        assert not report.unrecovered
+        # After repair, everything is reachable even though the locations stay down.
+        assert service.status().unavailable_blocks == 0
+        assert service.read("doc") == payload
+
+    def test_restore_locations_brings_blocks_back(self):
+        service = make_ae_service(locations=20)
+        service.put("doc", seeded_payload(2, 5_000))
+        service.fail_locations([0, 1, 2])
+        service.restore_locations()
+        assert service.status().unavailable_blocks == 0
+
+    def test_total_loss_raises_typed_error(self):
+        """A block the batched degraded read cannot rebuild raises."""
+        service = make_ae_service(locations=20)
+        service.put("doc", seeded_payload(13, 5_000))
+        service.fail_locations(range(20))
+        with pytest.raises(RepairFailedError):
+            service.get("doc")
+
+    def test_verify_document_helper(self):
+        service = make_ae_service()
+        payload = seeded_payload(11, 3_000)
+        service.put("doc", payload)
+        assert service.verify_document("doc", payload)
+        assert not service.verify_document("doc", payload + b"tampered")
 
 
 class TestReviewRegressions:
