@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import os
 
-from repro.core.parameters import AEParameters
 from repro.simulation.churn import ChurnConfig, ChurnSimulator
 from repro.simulation.metrics import format_table
 from repro.simulation.traces import TraceStatistics, p2p_session_trace
@@ -21,15 +20,7 @@ NODES = 40
 HORIZON_HOURS = 240.0
 DATA_BLOCKS = int(os.environ.get("REPRO_BENCH_CHURN_BLOCKS", "5000"))
 
-SCHEMES = (
-    AEParameters.single(),
-    AEParameters.double(2, 5),
-    AEParameters.triple(2, 5),
-    (8, 2),
-    (5, 5),
-    2,
-    3,
-)
+SCHEMES = ("ae-1", "ae-2-2-5", "ae-3-2-5", "rs-8-2", "rs-5-5", "rep-2", "rep-3")
 
 
 def run_churn_comparison():

@@ -15,7 +15,6 @@ Run with::
 
 from __future__ import annotations
 
-from repro.core.parameters import AEParameters
 from repro.simulation.churn import ChurnConfig, ChurnSimulator
 from repro.simulation.metrics import format_table
 from repro.simulation.traces import TraceStatistics, p2p_session_trace
@@ -41,14 +40,14 @@ def main() -> None:
     # 2. Replay the trace over the schemes of Table IV (plus replication).
     # ------------------------------------------------------------------
     schemes = [
-        AEParameters.single(),
-        AEParameters.double(2, 5),
-        AEParameters.triple(2, 5),
-        (10, 4),
-        (5, 5),
-        (4, 12),
-        2,
-        3,
+        "ae-1",
+        "ae-2-2-5",
+        "ae-3-2-5",
+        "rs-10-4",
+        "rs-5-5",
+        "rs-4-12",
+        "rep-2",
+        "rep-3",
     ]
     simulator = ChurnSimulator(
         trace, ChurnConfig(data_blocks=10_000, sample_every_hours=12.0, seed=1)

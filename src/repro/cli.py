@@ -49,7 +49,6 @@ from repro.analysis.markov import five_year_loss_table
 from repro.analysis.reliability import five_year_comparison
 from repro.analysis.repair_cost import single_failure_table
 from repro.analysis.write_performance import figure10_comparison
-from repro.core.parameters import AEParameters
 from repro.simulation.churn import ChurnConfig, compare_schemes_under_churn
 from repro.simulation.traces import p2p_session_trace
 from repro.simulation.experiments import (
@@ -141,15 +140,7 @@ def _run_churn(args: argparse.Namespace) -> str:
     trace = p2p_session_trace(
         40, 240.0, mean_session_hours=18.0, mean_downtime_hours=6.0, seed=17
     )
-    schemes = [
-        AEParameters.single(),
-        AEParameters.double(2, 5),
-        AEParameters.triple(2, 5),
-        (8, 2),
-        (5, 5),
-        2,
-        3,
-    ]
+    schemes = ["ae-1", "ae-2-2-5", "ae-3-2-5", "rs-8-2", "rs-5-5", "rep-2", "rep-3"]
     config = ChurnConfig(data_blocks=min(args.blocks, 20_000), sample_every_hours=12.0)
     return format_table(compare_schemes_under_churn(trace, schemes, config))
 

@@ -379,7 +379,6 @@ def run_adaptive(
     placement = build_simulation(
         policy.scheme_id, data_blocks, location_count, seed, block_size
     )
-    limit = placement.location_count
     run = AdaptiveRun(
         initial_scheme=policy.scheme_id,
         final_scheme=policy.scheme_id,
@@ -387,14 +386,8 @@ def run_adaptive(
     )
     offline: set = set()
     for event, read_rate in zip(timeline, read_rates):
-        for location in event.restore:
-            offline.discard(location)
-        for location in event.fail:
-            if not 0 <= location < limit:
-                raise InvalidParametersError(
-                    f"event location {location} lies outside 0..{limit - 1}"
-                )
-            offline.add(location)
+        offline.difference_update(event.restore)
+        offline.update(event.fail)
         if offline:
             outcome = placement.run_repair(
                 np.asarray(sorted(offline), dtype=np.int64),

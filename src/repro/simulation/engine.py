@@ -1,11 +1,8 @@
 """Scheme-agnostic discrete-event disaster & churn simulation engine.
 
 The paper's headline results (Figs. 11-13, Tables IV & VI) are
-disaster-recovery and churn simulations.  Before this module the simulation
-layer hard-coded three bespoke availability models (AE lattice, RS stripes,
-replication); every scheme the :mod:`repro.schemes` registry learned to
-*serve* still needed a fourth hand-written model before it could be
-*simulated*.  This engine closes that gap:
+disaster-recovery and churn simulations.  This engine runs them for every
+scheme the :mod:`repro.schemes` registry serves:
 
 * :class:`SimulatedPlacement` tracks block->location liveness for one scheme
   without materialising a single payload byte -- exactly like the paper's
@@ -24,10 +21,9 @@ replication); every scheme the :mod:`repro.schemes` registry learned to
   :class:`~repro.storage.maintenance.MaintenancePolicy` and
   :class:`~repro.storage.maintenance.MaintenanceBudget`.
 
-The engine reproduces the legacy models' fixed-seed metrics exactly (same
-placement draws, same repair semantics); ``AELatticeModel``,
-``RSStripeModel`` and ``ReplicationModel`` remain importable as thin shims
-over the adapters defined here.
+The ways in are :class:`SimulationEngine`, :func:`build_simulation` and
+:func:`simulate_disasters`, each taking a registry id (or an
+:class:`~repro.core.parameters.AEParameters` setting).
 """
 
 from __future__ import annotations
@@ -42,7 +38,7 @@ from repro.codes.base import StripeCode
 from repro.codes.replication import ReplicationCode
 from repro.core.parameters import AEParameters, StrandClass
 from repro.exceptions import InvalidParametersError
-from repro.simulation.metrics import DisasterMetrics, scheme_id_for
+from repro.simulation.metrics import DisasterMetrics
 from repro.storage.failures import ChurnTrace, Disaster
 from repro.storage.maintenance import MaintenanceBudget, MaintenancePolicy
 from repro.storage.topology import Topology
@@ -71,15 +67,18 @@ __all__ = [
 ]
 
 #: Anything :func:`build_simulation` resolves to a simulation adapter: a
-#: registry id (or legacy SchemeSpec tuple/int), a live scheme instance, a
-#: bare stripe code or an AE parameter setting.
-SchemeLike = Union[str, Tuple[object, ...], int, AEParameters, StripeCode, "RedundancyScheme"]
+#: registry id, a live scheme instance, a bare stripe code or an AE
+#: parameter setting.
+SchemeLike = Union[str, AEParameters, StripeCode, "RedundancyScheme"]
 
 #: Anything :meth:`SimulationEngine.run_disaster` accepts as a disaster: a
 #: :class:`Disaster`, a topology target string (``"site:0"``), a fraction in
 #: ``[0, 1]`` or an explicit array/sequence of location ids.
 DisasterLike = Union[Disaster, str, float, np.ndarray, Sequence[int]]
 
+#: Safety stop of the lattice repair rounds; a fixpoint comes far sooner.
+#: ``MaintenanceBudget.max_rounds`` is the way to cap rounds on purpose.
+MAX_REPAIR_ROUNDS = 200
 
 
 # ----------------------------------------------------------------------
@@ -272,7 +271,6 @@ class SimulatedPlacement(ABC):
         failed_locations: np.ndarray,
         policy: MaintenancePolicy = MaintenancePolicy.FULL,
         budget: Optional[MaintenanceBudget] = None,
-        max_rounds: int = 200,
     ) -> EngineOutcome:
         """Apply a disaster, run policy-driven repair, collect the metrics."""
 
@@ -295,8 +293,15 @@ class SimulatedPlacement(ABC):
         return self.run_repair(offline, policy=policy, budget=budget).data_loss
 
     def _failed_mask(self, failed_locations: np.ndarray) -> np.ndarray:
+        failed = np.asarray(failed_locations, dtype=np.int64)
+        out_of_range = failed[(failed < 0) | (failed >= self._locations)]
+        if out_of_range.size:
+            raise InvalidParametersError(
+                f"failed locations {np.unique(out_of_range)[:5].tolist()} lie "
+                f"outside 0..{self._locations - 1}"
+            )
         mask = np.zeros(self._locations, dtype=bool)
-        mask[np.asarray(failed_locations, dtype=np.int64)] = True
+        mask[failed] = True
         return mask
 
 
@@ -417,9 +422,8 @@ class LatticeSimulation(SimulatedPlacement):
         failed_locations: np.ndarray,
         policy: MaintenancePolicy = MaintenancePolicy.FULL,
         budget: Optional[MaintenanceBudget] = None,
-        max_rounds: int = 200,
     ) -> EngineOutcome:
-        """Round-based repair until a fixpoint, ``max_rounds`` or the budget.
+        """Round-based repair until a fixpoint or the budget runs out.
 
         ``MaintenancePolicy.MINIMAL`` rebuilds data blocks only (the Fig. 12
         regime); ``NONE`` measures raw exposure without any repairs.
@@ -437,7 +441,7 @@ class LatticeSimulation(SimulatedPlacement):
         alpha = self._params.alpha
 
         if policy is not MaintenancePolicy.NONE:
-            for round_number in range(1, max_rounds + 1):
+            for round_number in range(1, MAX_REPAIR_ROUNDS + 1):
                 if not budget.allows_round(round_number):
                     break
                 input_avail = self._input_parity_available(parity_available)
@@ -514,8 +518,7 @@ class StripeDisasterState:
     """Raw per-stripe evaluation of one disaster over a stripe population.
 
     All arrays are per stripe; ``vulnerable_*`` count vulnerable *data*
-    blocks under the respective maintenance policy.  The legacy model shims
-    derive their outcome dataclasses from this state.
+    blocks under the respective maintenance policy.
     """
 
     unavailable: np.ndarray  # (stripes, n) bool; padding forced available
@@ -611,7 +614,7 @@ class StripeSimulation(SimulatedPlacement):
         failed_mask = self._failed_mask(failed_locations)
         unavailable = failed_mask[self.block_location]  # (stripes, n)
         # Padding blocks are zero by construction, hence always recoverable:
-        # treat them as available (the legacy RS model did the same).
+        # treat them as available.
         unavailable[:, :k] &= self.data_mask
         data_missing = unavailable[:, :k]
         data_missing_count = data_missing.sum(axis=1)
@@ -626,9 +629,9 @@ class StripeSimulation(SimulatedPlacement):
             stripe_reads = np.where(decodable & (data_missing_count > 0), 1, 0)
             single_failure = (missing_count == 1) & (data_missing_count == 1)
             primary_up = ~data_missing[:, 0]
-            # Legacy semantics: minimal maintenance restores nothing beyond
-            # the primary copy, so a block is vulnerable when a single copy
-            # survives the disaster.
+            # Minimal maintenance restores nothing beyond the primary copy,
+            # so a block is vulnerable when a single copy survives the
+            # disaster.
             vulnerable_minimal = (available_count == 1).astype(np.int64)
             vulnerable_none = ((available_count == 1) & primary_up).astype(np.int64)
             vulnerable_full = np.zeros(self.stripes, dtype=np.int64)
@@ -740,7 +743,6 @@ class StripeSimulation(SimulatedPlacement):
         failed_locations: np.ndarray,
         policy: MaintenancePolicy = MaintenancePolicy.FULL,
         budget: Optional[MaintenanceBudget] = None,
-        max_rounds: int = 200,
     ) -> EngineOutcome:
         """Apply a disaster and collect the stripe metrics for ``policy``.
 
@@ -834,16 +836,6 @@ def punctured_parity_mask(
     return mask
 
 
-def _parity_free_rs(scheme_id: str) -> Optional[StripeCode]:
-    """The legacy ``RS(k, 0)`` edge case, which the registry cannot serve."""
-    parts = scheme_id.split("-")
-    if len(parts) == 3 and parts[0] == "rs" and parts[2] == "0" and parts[1].isdigit():
-        from repro.simulation.rs_model import _ParityFreeStripes
-
-        return _ParityFreeStripes(int(parts[1]))
-    return None
-
-
 def build_simulation(
     scheme: SchemeLike,
     data_blocks: int,
@@ -856,8 +848,8 @@ def build_simulation(
     ``scheme`` may be a registry identifier (``"ae-3-2-5"``, ``"rs-10-4"``,
     ``"lrc-azure"``, ``"rep-3"``, ``"xor-geo"``, ...), a live
     :class:`~repro.schemes.base.RedundancyScheme` instance, a bare
-    :class:`~repro.codes.base.StripeCode`, an :class:`AEParameters` setting,
-    or any legacy :data:`~repro.simulation.metrics.SchemeSpec`.
+    :class:`~repro.codes.base.StripeCode` or an :class:`AEParameters`
+    setting.
     """
     from repro.codes.entanglement import EntanglementScheme, PuncturedEntanglementScheme
     from repro.schemes.stripe import StripeScheme
@@ -866,16 +858,10 @@ def build_simulation(
         return LatticeSimulation(scheme, data_blocks, location_count, seed)
     if isinstance(scheme, StripeCode):
         return StripeSimulation(scheme, data_blocks, location_count, seed)
-    if isinstance(scheme, (str, tuple, int)):
+    if isinstance(scheme, str):
         import repro.schemes as schemes
 
-        scheme_id = scheme_id_for(scheme)
-        parity_free = _parity_free_rs(scheme_id)
-        if parity_free is not None:
-            return StripeSimulation(
-                parity_free, data_blocks, location_count, seed, scheme_id=scheme_id
-            )
-        scheme = schemes.get(scheme_id, block_size=block_size)
+        scheme = schemes.get(scheme, block_size=block_size)
     if isinstance(scheme, PuncturedEntanglementScheme):
         return LatticeSimulation(
             scheme.params,
@@ -1078,7 +1064,7 @@ class SimulationEngine:
             return np.asarray(
                 self._topology.locations_for_target(disaster), dtype=np.int64
             )
-        if isinstance(disaster, float):
+        if isinstance(disaster, (int, float)) and not isinstance(disaster, bool):
             return sample_disaster_locations(
                 self._placement.location_count, disaster, self._placement.seed
             )
@@ -1182,9 +1168,8 @@ def sample_disaster_locations(
 ) -> np.ndarray:
     """Locations taken down by a disaster of the given size (paper, Sec. V-C).
 
-    Uses the same draw as the legacy experiment runner
-    (``default_rng(seed + 1000 * offset)``), so engine results line up with
-    the historical fixed-seed figures.
+    The draw is ``default_rng(seed + 1000 * offset)``, so the ``offset``-th
+    disaster of a sweep is the same for every scheme and every run.
     """
     if not 0.0 <= fraction <= 1.0:
         raise InvalidParametersError("disaster fraction must lie in [0, 1]")
@@ -1194,7 +1179,7 @@ def sample_disaster_locations(
 
 
 def simulate_disasters(
-    scheme_ids: Sequence[Union[str, AEParameters, tuple, int]],
+    scheme_ids: Sequence[Union[str, AEParameters]],
     data_blocks: int = 20_000,
     location_count: int = 100,
     seed: int = 7,
@@ -1205,9 +1190,8 @@ def simulate_disasters(
 ) -> List[DisasterMetrics]:
     """Disaster-recovery metrics for every scheme at every disaster size.
 
-    One placement per scheme (built once, reused across fractions, exactly
-    like the legacy experiment runner) and one independently drawn disaster
-    per fraction.  ``fractions`` entries may also be topology target strings
+    One placement per scheme (built once, reused across fractions) and one
+    independently drawn disaster per fraction.  ``fractions`` entries may also be topology target strings
     (``"site:0"``, ``"rack:eu/1"``), resolved against ``topology`` -- those
     disasters are deterministic whole-domain outages rather than random
     draws.  Returns one :class:`DisasterMetrics` per (scheme, fraction)

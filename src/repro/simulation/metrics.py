@@ -15,10 +15,8 @@ specification is primarily a registry identifier string (``"ae-3-2-5"``,
 ``"rs-10-4"``, ``"lrc-azure"``, ``"rep-3"``, ``"xor-geo"``, ...), and
 :func:`describe_scheme` / :func:`scheme_costs` resolve it through the
 registry's :class:`~repro.schemes.base.SchemeCapabilities` instead of a
-parallel hand-written cost table.  The legacy shorthand specs -- an
-:class:`AEParameters` setting, an RS ``(k, m)`` tuple or a replication
-factor ``int`` -- are still accepted and normalised by
-:func:`scheme_id_for`.
+parallel hand-written cost table.  An :class:`AEParameters` setting is also
+accepted and mapped to its ``ae-*`` id by :func:`scheme_id_for`.
 """
 
 from __future__ import annotations
@@ -27,37 +25,28 @@ from dataclasses import dataclass
 from typing import Dict, List, Sequence, Union
 
 from repro.codes.base import CodeCosts
+from repro.codes.entanglement import ae_scheme_id
 from repro.core.parameters import AEParameters
 from repro.exceptions import InvalidParametersError
 
-#: A scheme specification: a registry identifier string, an AE setting, an
-#: RS ``(k, m)`` pair, or a replication factor.
-SchemeSpec = Union[str, AEParameters, tuple, int]
+#: A scheme specification: a registry identifier string or an AE setting.
+SchemeSpec = Union[str, AEParameters]
 
 
 def scheme_id_for(spec: SchemeSpec) -> str:
-    """Normalise any scheme specification to its registry identifier.
+    """Normalise a scheme specification to its registry identifier.
 
-    ``"rs-10-4"`` stays as is; ``AEParameters.triple(2, 5)`` becomes
-    ``"ae-3-2-5"``, ``(10, 4)`` becomes ``"rs-10-4"`` and ``3`` becomes
-    ``"rep-3"``.
+    ``"RS-10-4"`` becomes ``"rs-10-4"``; ``AEParameters.triple(2, 5)``
+    becomes ``"ae-3-2-5"``.
     """
     if isinstance(spec, str):
         return spec.strip().lower()
     if isinstance(spec, AEParameters):
-        if spec.is_single:
-            return "ae-1"
-        return f"ae-{spec.alpha}-{spec.s}-{spec.p}"
-    if isinstance(spec, tuple) and len(spec) == 2:
-        k, m = spec
-        if k < 1 or m < 0:
-            raise InvalidParametersError(f"invalid RS spec {spec!r}")
-        return f"rs-{k}-{m}"
-    if isinstance(spec, int) and not isinstance(spec, bool):
-        if spec < 2:
-            raise InvalidParametersError("replication factor must be >= 2")
-        return f"rep-{spec}"
-    raise InvalidParametersError(f"unrecognised scheme specification {spec!r}")
+        return ae_scheme_id(spec)
+    raise InvalidParametersError(
+        f"unrecognised scheme specification {spec!r}; expected a registry id "
+        "such as 'rs-10-4' or an AEParameters setting"
+    )
 
 
 @dataclass(frozen=True)
@@ -89,18 +78,6 @@ def describe_scheme(spec: SchemeSpec) -> SchemeDescription:
     import repro.schemes as schemes
 
     scheme_id = scheme_id_for(spec)
-    parts = scheme_id.split("-")
-    if len(parts) == 3 and parts[0] == "rs" and parts[2] == "0" and parts[1].isdigit():
-        # The legacy RS(k, 0) edge case (striping without parities), which
-        # the registry cannot serve but the historical cost table described.
-        k = int(parts[1])
-        return SchemeDescription(
-            name=f"RS({k},0)",
-            kind="rs",
-            additional_storage_percent=0.0,
-            single_failure_cost=k,
-            scheme_id=scheme_id,
-        )
     capabilities = schemes.get(scheme_id, block_size=64).capabilities()
     return SchemeDescription(
         name=capabilities.name,

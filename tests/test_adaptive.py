@@ -120,6 +120,12 @@ class TestRunAdaptive:
         with pytest.raises(InvalidParametersError, match="read_rates"):
             run_adaptive(policy, events, [0.5], data_blocks=50, location_count=10)
 
+    def test_event_locations_outside_the_cluster_are_rejected(self):
+        policy = AdaptiveMaintenancePolicy("ae-3-2-5")
+        events = [SimulationEvent(time=0.0, fail=(10,))]
+        with pytest.raises(InvalidParametersError, match=r"\[10\] lie outside 0\.\.9"):
+            run_adaptive(policy, events, [0.5], data_blocks=50, location_count=10)
+
     def test_deterministic_replay(self):
         first = cold_archive_demotion(data_blocks=300, location_count=20)
         second = cold_archive_demotion(data_blocks=300, location_count=20)

@@ -26,13 +26,24 @@ from repro.storage.maintenance import MaintenanceBudget, MaintenancePolicy
 
 CONFIG = ExperimentConfig.quick(20_000)
 
-#: Fixed-seed metrics recorded from the pre-engine per-scheme models
-#: (AELatticeModel / RSStripeModel / ReplicationModel at seed 7, 20,000
-#: blocks, 100 locations).  The engine must reproduce them exactly.
+#: Fixed-seed metrics at seed 7, 20,000 blocks, 100 locations.  The
+#: data-loss, vulnerability, round and repaired-data values were recorded
+#: from the per-scheme models that preceded the engine; the rest (redundancy
+#: and single-failure repairs, RS(4,12), FULL replication) from the engine
+#: itself.  The engine must reproduce them exactly.
 GOLDEN = {
-    ("ae-3-2-5", "full", 10): dict(data_loss=0, vulnerable_data=0, rounds=3, repaired_data=1945),
-    ("ae-3-2-5", "full", 30): dict(data_loss=0, vulnerable_data=0, rounds=6, repaired_data=5978),
-    ("ae-3-2-5", "full", 50): dict(data_loss=20, vulnerable_data=0, rounds=16, repaired_data=10023),
+    ("ae-3-2-5", "full", 10): dict(
+        data_loss=0, vulnerable_data=0, rounds=3, repaired_data=1945,
+        repaired_redundancy=5926, single_failure_repairs=1932,
+    ),
+    ("ae-3-2-5", "full", 30): dict(
+        data_loss=0, vulnerable_data=0, rounds=6, repaired_data=5978,
+        repaired_redundancy=17927, single_failure_repairs=5209,
+    ),
+    ("ae-3-2-5", "full", 50): dict(
+        data_loss=20, vulnerable_data=0, rounds=16, repaired_data=10023,
+        repaired_redundancy=30036, single_failure_repairs=5810,
+    ),
     ("ae-3-2-5", "minimal", 10): dict(data_loss=13, vulnerable_data=112, rounds=1, repaired_data=1932),
     ("ae-3-2-5", "minimal", 30): dict(data_loss=769, vulnerable_data=1821, rounds=1, repaired_data=5209),
     ("ae-3-2-5", "minimal", 50): dict(data_loss=4233, vulnerable_data=4214, rounds=1, repaired_data=5810),
@@ -42,11 +53,29 @@ GOLDEN = {
     ("rep-3", "minimal", 10): dict(data_loss=19, vulnerable_data=495),
     ("rep-3", "minimal", 30): dict(data_loss=504, vulnerable_data=3705),
     ("rep-3", "minimal", 50): dict(data_loss=2525, vulnerable_data=7590),
+    ("rs-4-12", "minimal", 10): dict(
+        data_loss=0, vulnerable_data=0, blocks_read=6896,
+        initially_missing_data=2014, repaired_data=2014, single_failure_repairs=421,
+    ),
+    ("rs-4-12", "minimal", 30): dict(
+        data_loss=0, vulnerable_data=0, blocks_read=15244,
+        initially_missing_data=6034, repaired_data=6034, single_failure_repairs=35,
+    ),
+    ("rs-4-12", "minimal", 50): dict(
+        data_loss=166, vulnerable_data=30, blocks_read=18608,
+        initially_missing_data=10040, repaired_data=9874, single_failure_repairs=0,
+    ),
+    ("rep-2", "full", 10): dict(data_loss=187, repaired_data=1811, repaired_redundancy=1761),
+    ("rep-2", "full", 30): dict(data_loss=1780, repaired_data=4146, repaired_redundancy=4151),
+    ("rep-2", "full", 50): dict(data_loss=5074, repaired_data=4892, repaired_redundancy=5057),
+    ("rep-4", "full", 10): dict(data_loss=2, repaired_data=1999, repaired_redundancy=5864),
+    ("rep-4", "full", 30): dict(data_loss=152, repaired_data=5867, repaired_redundancy=17430),
+    ("rep-4", "full", 50): dict(data_loss=1258, repaired_data=8696, repaired_redundancy=26441),
 }
 
 
 class TestGoldenEquivalence:
-    """The engine reproduces the legacy models' fixed-seed metrics."""
+    """The engine reproduces the recorded fixed-seed metrics."""
 
     @pytest.mark.parametrize("key", sorted(GOLDEN, key=str))
     def test_fixed_seed_metrics(self, key):
@@ -58,7 +87,7 @@ class TestGoldenEquivalence:
         )
         outcome = engine.run_outcome(failed, policy=MaintenancePolicy(policy_name))
         for metric, expected in GOLDEN[key].items():
-            got = getattr(outcome, metric if metric != "rounds" else "rounds")
+            got = getattr(outcome, metric)
             assert got == expected, (key, metric, got, expected)
 
 
@@ -68,10 +97,8 @@ class TestBuildSimulation:
         for scheme_id in ("rs-10-4", "rep-3", "lrc-azure", "xor-geo"):
             assert isinstance(build_simulation(scheme_id, 100), StripeSimulation)
 
-    def test_legacy_specs_resolve(self):
+    def test_parameters_and_codes_resolve(self):
         assert isinstance(build_simulation(AEParameters.triple(2, 5), 100), LatticeSimulation)
-        assert isinstance(build_simulation((10, 4), 100), StripeSimulation)
-        assert isinstance(build_simulation(3, 100), StripeSimulation)
         assert isinstance(build_simulation(azure_lrc(), 100), StripeSimulation)
 
     def test_placement_shape(self):
@@ -79,7 +106,7 @@ class TestBuildSimulation:
         assert sim.data_blocks == 1000
         assert sim.redundancy_blocks == sim.stripes * 4  # LRC(12,2,2): l + r = 4
         # The histogram counts stored blocks, including the zero padding that
-        # completes the final stripe (like the legacy RS model's report).
+        # completes the final stripe.
         assert sim.blocks_per_location().sum() == sim.stripes * sim.code.n
 
     def test_rejects_unknown_scheme(self):
@@ -260,6 +287,12 @@ class TestEventLoop:
         row = run.as_row()
         assert row["scheme"] == "3-way replication"
 
+    def test_churn_trace_replays_one_step_per_event(self):
+        trace = ChurnTrace.poisson(50, 20, departure_rate=0.1, return_rate=0.5, seed=11)
+        run = SimulationEngine("rs-10-4", 5_000, 50, seed=7).run_events(trace)
+        assert len(run.steps) == len(trace.events)
+        assert 0.0 <= run.min_availability <= run.mean_availability <= 1.0
+
     def test_restores_bring_data_back(self):
         events = [
             SimulationEvent(time=0.0, fail=tuple(range(20))),
@@ -300,15 +333,39 @@ class TestEventLoop:
             engine.run_events("trace.json")
 
 
+class TestDisasterInputs:
+    """Location ids are checked against the cluster; numbers are fractions."""
+
+    @pytest.mark.parametrize("scheme_id", ["rs-10-4", "ae-3-2-5"])
+    @pytest.mark.parametrize("location", [-1, 10])
+    def test_location_ids_outside_the_cluster_are_rejected(self, scheme_id, location):
+        engine = SimulationEngine(scheme_id, 2_000, 10, seed=1)
+        with pytest.raises(InvalidParametersError, match=rf"\[{location}\] lie outside 0\.\.9"):
+            engine.run_outcome([location])
+
+    def test_an_int_disaster_is_a_fraction(self):
+        engine = SimulationEngine("rs-10-4", 2_000, 10, seed=1)
+        whole = engine.run_outcome(1, policy=MaintenancePolicy.NONE)
+        assert whole.data_loss == 2_000
+        assert engine.run_outcome(0).initially_missing_data == 0
+        metrics = engine.run_disaster(1)
+        assert metrics.disaster_fraction == 1.0
+        with pytest.raises(InvalidParametersError, match="fraction"):
+            engine.run_outcome(2)
+
+
 class TestSchemeIdUnification:
-    def test_scheme_id_for_normalises_legacy_specs(self):
+    def test_scheme_id_for_normalises_specs(self):
         assert scheme_id_for("AE-3-2-5") == "ae-3-2-5"
         assert scheme_id_for(AEParameters.triple(2, 5)) == "ae-3-2-5"
         assert scheme_id_for(AEParameters.single()) == "ae-1"
-        assert scheme_id_for((10, 4)) == "rs-10-4"
-        assert scheme_id_for(3) == "rep-3"
         with pytest.raises(InvalidParametersError):
             scheme_id_for(1.5)
+
+    def test_ids_resolve_to_the_paper_names(self):
+        assert describe_scheme("rs-8-2").name == "RS(8,2)"
+        assert describe_scheme("rep-2").name == "2-way replication"
+        assert build_simulation("rs-8-2", 100).name == "RS(8,2)"
 
     def test_describe_scheme_covers_registry_families(self):
         for scheme_id, kind, reads in (
@@ -357,33 +414,3 @@ class TestSimulateDisasters:
         sampled = sample_disaster_locations(100, 0.3, 7, 2)
         legacy = sample_disaster(CONFIG, 0.3, 2)
         assert np.array_equal(sampled, legacy)
-
-
-class TestLegacyShims:
-    def test_shims_subclass_the_engine_adapters(self):
-        from repro.simulation.lattice_model import AELatticeModel
-        from repro.simulation.replication_model import ReplicationModel
-        from repro.simulation.rs_model import RSStripeModel
-
-        assert issubclass(AELatticeModel, LatticeSimulation)
-        assert issubclass(RSStripeModel, StripeSimulation)
-        assert issubclass(ReplicationModel, StripeSimulation)
-        for shim in (AELatticeModel, RSStripeModel, ReplicationModel):
-            assert "deprecated" in (shim.__doc__ or "").lower()
-
-    def test_rs_shim_keeps_the_parity_free_edge_case(self):
-        """The legacy model accepted m = 0 (striping without redundancy)."""
-        from repro.simulation.rs_model import RSStripeModel
-
-        model = RSStripeModel(5, 0, 1_000, location_count=40, seed=3)
-        outcome = model.run_repair(np.arange(4))
-        # Without parities nothing is repairable: every missing block is lost.
-        assert outcome.repaired_data == 0
-        assert outcome.data_loss == outcome.initially_missing_data
-        assert outcome.data_loss > 0
-        # The m=0 edge case also survives the unified spec vocabulary.
-        description = describe_scheme((5, 0))
-        assert description.name == "RS(5,0)"
-        assert description.additional_storage_percent == 0.0
-        sim = build_simulation((5, 0), 1_000, location_count=40, seed=3)
-        assert sim.run_repair(np.arange(4)).data_loss == outcome.data_loss

@@ -42,12 +42,12 @@ class TestTable4:
 
     def test_describe_scheme_validation(self):
         assert describe_scheme(AEParameters.single()).kind == "ae"
-        assert describe_scheme((10, 4)).kind == "rs"
-        assert describe_scheme(3).kind == "replication"
+        assert describe_scheme("rs-10-4").kind == "rs"
+        assert describe_scheme("rep-3").kind == "replication"
         with pytest.raises(InvalidParametersError):
-            describe_scheme((0, 4))
+            describe_scheme("rs-0-4")
         with pytest.raises(InvalidParametersError):
-            describe_scheme(1)
+            describe_scheme("rep-1")
         with pytest.raises(InvalidParametersError):
             describe_scheme("bogus")
 

@@ -66,8 +66,8 @@ class TestModels:
             rs_repair_model(4, 2).single_failure_cost(0)
 
     def test_repair_model_for_dispatch(self):
-        assert repair_model_for((10, 4)).kind == "rs"
-        assert repair_model_for(3).kind == "replication"
+        assert repair_model_for("rs-10-4").kind == "rs"
+        assert repair_model_for("rep-3").kind == "replication"
         assert repair_model_for(AEParameters.triple(2, 5)).kind == "ae"
 
 
@@ -121,7 +121,7 @@ class TestTables:
         fractions = {"AE(3,2,5)": 0.95, "RS(4,12)": 0.3}
         rounds = {"AE(3,2,5)": 2.0}
         rows = disaster_traffic_table(
-            [(4, 12), AEParameters.triple(2, 5)],
+            ["rs-4-12", AEParameters.triple(2, 5)],
             missing_blocks=10_000,
             block_size=4096,
             single_failure_fractions=fractions,

@@ -7,9 +7,13 @@ public class/function defined in the subpackage's modules is exported.
 
 from __future__ import annotations
 
+import importlib
 import inspect
 
+import pytest
+
 import repro.simulation
+from repro.exceptions import InvalidParametersError
 
 
 class TestSimulationImportSurface:
@@ -33,10 +37,7 @@ class TestSimulationImportSurface:
         import repro.simulation.churn
         import repro.simulation.engine
         import repro.simulation.experiments
-        import repro.simulation.lattice_model
         import repro.simulation.metrics
-        import repro.simulation.replication_model
-        import repro.simulation.rs_model
         import repro.simulation.traces
         import repro.simulation.workload
 
@@ -45,10 +46,7 @@ class TestSimulationImportSurface:
             repro.simulation.churn,
             repro.simulation.engine,
             repro.simulation.experiments,
-            repro.simulation.lattice_model,
             repro.simulation.metrics,
-            repro.simulation.replication_model,
-            repro.simulation.rs_model,
             repro.simulation.traces,
             repro.simulation.workload,
         ]
@@ -78,3 +76,25 @@ class TestSimulationImportSurface:
             "scheme_id_for",
         ):
             assert required in repro.simulation.__all__
+
+    def test_one_way_into_the_simulator(self):
+        """The per-scheme model shims, their builders and the tuple/int
+        scheme specs left the surface; the engine is the only way in."""
+        for module in ("lattice_model", "rs_model", "replication_model"):
+            with pytest.raises(ModuleNotFoundError):
+                importlib.import_module(f"repro.simulation.{module}")
+        # EngineOutcome is the engine's result; LifetimeModel draws churn traces.
+        kept = {"EngineOutcome", "LifetimeModel"}
+        leftovers = [
+            name
+            for name in dir(repro.simulation)
+            if (name.endswith(("Model", "Outcome")) and name not in kept)
+            or (name.startswith("build_") and name.endswith("_models"))
+        ]
+        assert not leftovers, leftovers
+        with pytest.raises(InvalidParametersError):
+            repro.simulation.scheme_id_for((10, 4))
+        with pytest.raises(InvalidParametersError):
+            repro.simulation.scheme_id_for(3)
+        with pytest.raises(InvalidParametersError):
+            repro.simulation.build_simulation("rs-5-0", 100)
